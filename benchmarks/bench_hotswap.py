@@ -68,7 +68,6 @@ OOD_REQUESTS = 36          # out-of-distribution drift stream
 DRIFT_RPS = 40.0
 WORKERS = 2
 MAX_BATCH = 4
-DEADLINE_MS = 2.0
 MAX_QUEUE = 512            # zero-drop phase: the queue must absorb bursts
 SLO_MS = 250.0
 LOOPBACK = "tcp://127.0.0.1:0"
@@ -139,8 +138,7 @@ def _serial_drive(address: str, requests):
 def _cold_reference(root: str, requests):
     """What a fresh daemon pinned to v2 answers for ``requests``."""
     daemon = ServeDaemon(LOOPBACK, registry_root=root, workers=1,
-                         max_batch=MAX_BATCH, deadline_ms=DEADLINE_MS,
-                         watch_interval_s=0.0).start()
+                         max_batch=MAX_BATCH, watch_interval_s=0.0).start()
     try:
         with DaemonClient(daemon.address) as client:
             client.swap(MODEL, version=2)
@@ -216,8 +214,7 @@ def run(num_requests: int = NUM_REQUESTS,
         reference = _cold_reference(root, grid)
 
         daemon = ServeDaemon(LOOPBACK, registry_root=root, workers=WORKERS,
-                             max_batch=MAX_BATCH, deadline_ms=DEADLINE_MS,
-                             max_queue=MAX_QUEUE,
+                             max_batch=MAX_BATCH, max_queue=MAX_QUEUE,
                              watch_interval_s=0.0).start()
         try:
             address = daemon.address
@@ -296,7 +293,6 @@ def run(num_requests: int = NUM_REQUESTS,
     return {
         "workers": WORKERS,
         "max_batch": MAX_BATCH,
-        "deadline_ms": DEADLINE_MS,
         "max_queue": MAX_QUEUE,
         "swap": {
             "requests": len(stream),

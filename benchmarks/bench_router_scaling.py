@@ -70,7 +70,6 @@ OVERLOAD_RPS = 400.0       # far past any capacity: must shed, not queue
 OVERLOAD_REQUESTS = 120
 CONCURRENCY = 48           # loadgen sender threads (callers, not load rate)
 MAX_BATCH = 4
-DEADLINE_MS = 2.0
 MAX_QUEUE = 16             # per-replica bound: small so saturation sheds
 SLO_MS = 250.0
 LOOPBACK = "tcp://127.0.0.1:0"
@@ -179,7 +178,7 @@ class _Fleet:
             for group in _group_names(group_count):
                 daemon = ServeDaemon(
                     LOOPBACK, registry_root=root, workers=1,
-                    max_batch=MAX_BATCH, deadline_ms=DEADLINE_MS,
+                    max_batch=MAX_BATCH,
                     max_queue=MAX_QUEUE, preload=shards[group]).start()
                 self.daemons.append(daemon)
                 replicas.append((group, daemon.address))
@@ -290,7 +289,6 @@ def run(num_requests: int = NUM_REQUESTS, group_counts=(1, 2, 4),
         "offered_rps": offered_rps,
         "concurrency": CONCURRENCY,
         "max_batch": MAX_BATCH,
-        "deadline_ms": DEADLINE_MS,
         "max_queue": MAX_QUEUE,
         "slo_ms": SLO_MS,
         "profile_walltime": {"scale": WALLTIME_SCALE, "cap_s": WALLTIME_CAP},

@@ -53,7 +53,6 @@ NUM_REQUESTS = 240         # distinct (kernel, scale) pairs — no cache help
 WARMUP_REQUESTS = 24       # untimed: settles per-worker numpy/model caches
 CLIENTS = 24
 MAX_BATCH = 4
-DEADLINE_MS = 2.0
 #: profiling-occupancy emulation (see module docstring): each cold request
 #: waits on its kernel's simulated execution, capped per run
 WALLTIME_SCALE = 2.0
@@ -155,7 +154,6 @@ def run(num_requests: int = NUM_REQUESTS, clients: int = CLIENTS,
                 socket_path = os.path.join(tmp, f"daemon-{workers}.sock")
                 with ServeDaemon(socket_path, registry_root=root,
                                  workers=workers, max_batch=MAX_BATCH,
-                                 deadline_ms=DEADLINE_MS,
                                  max_queue=4 * clients,
                                  preload=["bench-openmp"]) as daemon:
                     # untimed warmup: every worker executes a few batches
@@ -186,7 +184,6 @@ def run(num_requests: int = NUM_REQUESTS, clients: int = CLIENTS,
         "requests": num_requests,
         "clients": clients,
         "max_batch": MAX_BATCH,
-        "deadline_ms": DEADLINE_MS,
         "profile_walltime": {"scale": WALLTIME_SCALE, "cap_s": WALLTIME_CAP},
         "predictions_identical_to_engine": identical,
         "workers": {str(w): per_workers[w] for w in worker_counts},

@@ -15,7 +15,7 @@ The serving subsystem takes a trained tuner from "in-memory object" to
 * :mod:`repro.serve.service` — :class:`TuningService`, the request/response
   façade with per-model routing and latency/throughput counters;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, a socket-served
-  multi-worker front-end: deadline-aware micro-batching, bounded queues
+  multi-worker front-end: work-conserving micro-batching, bounded queues
   with load shedding, a self-healing process pool and drain-on-shutdown;
   serves ``AF_UNIX`` paths or ``tcp://HOST:PORT`` (same protocol);
 * :mod:`repro.serve.router` — :class:`ServeRouter`, the multi-host

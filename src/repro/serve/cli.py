@@ -97,9 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     daemon = sub.add_parser(
         "daemon",
-        help="serve published models over a socket: a dispatcher forms "
-             "micro-batches under a latency deadline and a pool of worker "
-             "processes executes them")
+        help="serve published models over a socket: a work-conserving "
+             "dispatcher hands each idle worker process the oldest waiting "
+             "requests, batching only what queues while every worker is "
+             "busy")
     daemon.add_argument("--socket", default=None,
                         help="address to listen on: an AF_UNIX path or "
                              "tcp://HOST:PORT")
@@ -112,15 +113,10 @@ def _build_parser() -> argparse.ArgumentParser:
     daemon.add_argument("--workers", type=int, default=2,
                         help="worker processes, each holding warm models")
     daemon.add_argument("--max-batch", type=int, default=16,
-                        help="flush a batch at this many requests")
-    daemon.add_argument("--deadline-ms", type=float, default=10.0,
-                        help="flush a batch when its oldest request has "
-                             "waited this long")
+                        help="most requests one worker takes at once")
     daemon.add_argument("--max-queue", type=int, default=64,
                         help="bounded queue: shed (overloaded) beyond this "
                              "many waiting requests")
-    daemon.add_argument("--engine-wait-ms", type=float, default=2.0,
-                        help="worker-side engine micro-batch window")
     daemon.add_argument("--preload", action="append", default=[],
                         metavar="MODEL[@VERSION]",
                         help="warm these models in every worker before "
@@ -494,8 +490,7 @@ def _cmd_daemon(args) -> int:
         address=_listen_address(args.socket, args.tcp),
         registry_root=args.root,
         workers=args.workers, max_batch=args.max_batch,
-        deadline_ms=args.deadline_ms, max_queue=args.max_queue,
-        engine_max_wait_ms=args.engine_wait_ms, preload=args.preload,
+        max_queue=args.max_queue, preload=args.preload,
         debug_ops=args.debug_ops, mp_start_method=args.mp_start,
         watch_interval_s=args.watch_interval)
     daemon.start()
@@ -503,7 +498,6 @@ def _cmd_daemon(args) -> int:
     print(json.dumps({"ready": True, "socket": daemon.address,
                       "transport": daemon.scheme,
                       "workers": args.workers, "max_batch": args.max_batch,
-                      "deadline_ms": args.deadline_ms,
                       "max_queue": args.max_queue, "pid": os.getpid()}),
           flush=True)
 

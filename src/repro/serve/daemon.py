@@ -1,4 +1,4 @@
-"""Concurrent multi-worker serving daemon with deadline-aware batching.
+"""Concurrent multi-worker serving daemon with work-conserving batching.
 
 :class:`ServeDaemon` is the socket-served, multi-process big sibling of the
 in-process :class:`~repro.serve.engine.InferenceEngine`:
@@ -7,13 +7,15 @@ in-process :class:`~repro.serve.engine.InferenceEngine`:
   ``AF_UNIX`` path or ``tcp://HOST:PORT`` for cross-host replicas, selected
   by the address scheme (:func:`~repro.serve.protocol.parse_address`) —
   many connections, pipelined requests, out-of-order responses;
-* an **async dispatcher** forms dynamic micro-batches per ``(model,
-  version)`` route under a configurable latency budget: a batch flushes when
-  it reaches ``max_batch`` requests *or* its oldest request has waited
-  ``deadline_ms``, whichever comes first;
+* an **async dispatcher** queues requests per ``(model, version)`` route
+  and is work-conserving: whenever a worker is idle, the route with the
+  oldest waiting request flushes at once, up to ``max_batch`` requests.  A
+  lone request never waits on a timer; batches form by themselves while
+  every worker is busy;
 * a **pool of worker processes**, each holding a warm
   :class:`~repro.serve.registry.ModelRegistry` model behind its own
-  :class:`~repro.serve.engine.InferenceEngine`, executes the batches.
+  :class:`~repro.serve.engine.InferenceEngine`, answers each batch with one
+  synchronous ``predict_batch`` call — the only batching stage on the path.
 
 The request queue is bounded: when ``max_queue`` requests are already
 waiting, new work is *shed* with a structured ``overloaded`` error instead
@@ -36,11 +38,13 @@ dispatcher stamps every batch with the route's resolved version under the
 dispatch lock, so a flip lands exactly between micro-batches and no batch
 mixes versions.  ``swap`` pins/rolls back a route; ``shadow`` tees a
 fraction of answered live traffic to a candidate version through a
-separate low-priority queue that only otherwise-idle workers drain
-(never ahead of live work), diffing its answers against the delivered
-ones.  Workers stream cumulative per-engine drift scores back with every
-batch; ``stats`` reports swap counters, shadow disagreement and per-route
-drift.
+separate low-priority queue, diffing its answers against the delivered
+ones.  A shadow batch takes a worker only while no live request waits and
+at least ``min(2, workers)`` workers are idle, so in a pool of two or more
+it never takes the last idle worker the next live request needs (the
+bounded priority blocking of DPCP-p).  Workers stream cumulative
+per-engine drift scores back with every batch; ``stats`` reports swap
+counters, shadow disagreement and per-route drift.
 """
 
 from __future__ import annotations
@@ -101,16 +105,22 @@ def route_label(route: tuple) -> str:
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
+def _failure(code: str, exc: BaseException) -> Dict[str, Any]:
+    return {"ok": False, "error": {"code": code,
+                                   "message": f"{type(exc).__name__}: {exc}"}}
+
+
 def _execute_tune_map(service, requests: List[Dict[str, Any]]
                       ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
-    """Answer a batch of tune/map requests through one warm engine each.
+    """Answer a batch of tune/map requests on this thread.
 
-    All requests are *submitted* before any result is awaited, so
-    co-batched requests for the same model coalesce into single
-    ``MGAModel.predict`` calls inside the engine — the daemon's batch is
-    the engine's batch.  Returns the results plus cumulative per-engine
-    drift summaries (keyed ``model@version``) for the daemon's
-    aggregator.
+    Requests are grouped by the warm engine that serves them and each group
+    is answered by one synchronous :meth:`InferenceEngine.predict_batch`
+    call — the daemon's batch is the engine's batch, with no second queue
+    or wait window behind it.  A request that cannot be resolved or
+    prepared fails alone (``bad_request``); a failing ``predict`` fails its
+    group (``internal``).  Returns the results plus cumulative per-engine
+    drift summaries (keyed ``model@version``) for the daemon's aggregator.
     """
     from repro.kernels import registry as kernel_registry
     from repro.serve.service import (
@@ -121,58 +131,48 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]]
         tune_response_fields,
     )
 
-    submitted: List[Tuple[Optional[Any], Optional[Dict], Optional[str]]] = []
-    engines_used: Dict[str, Any] = {}
-    for request in requests:
+    results: List[Dict[str, Any]] = [{}] * len(requests)
+    groups: Dict[str, Tuple[Any, list]] = {}
+    for position, request in enumerate(requests):
         try:
             engine, version = service.engine(request["model"],
                                              request.get("version"))
-            engines_used[f"{request['model']}@{version}"] = engine
+            group = groups.setdefault(f"{request['model']}@{version}",
+                                      (engine, []))[1]
             spec = kernel_registry.get_kernel(request["kernel"])
+            fields = [request["model"], version, request["kernel"]]
             if request["op"] == "tune":
                 require_tuner(engine.predictor, request["model"])
                 scale = resolve_tune_scale(spec, request.get("scale"),
                                            request.get("target_bytes"))
-                pending = engine.submit_tune(spec, scale)
-                meta = {"op": "tune", "model": request["model"],
-                        "version": version, "kernel": request["kernel"],
-                        "scale": scale}
+                fields.append(scale)
+                query = (spec, scale)
             else:
                 require_mapper(engine.predictor, request["model"])
-                pending = engine.submit_map(spec,
-                                            float(request["transfer_bytes"]),
-                                            int(request["wgsize"]))
-                meta = {"op": "map", "model": request["model"],
-                        "version": version, "kernel": request["kernel"]}
-            submitted.append((pending, meta, None))
+                query = (spec, float(request["transfer_bytes"]),
+                         int(request["wgsize"]))
         except Exception as exc:
-            submitted.append((None, None,
-                              f"{type(exc).__name__}: {exc}"))
-    results = []
-    for pending, meta, failure in submitted:
-        if failure is not None:
-            results.append({"ok": False,
-                            "error": {"code": ERR_BAD_REQUEST,
-                                      "message": failure}})
+            results[position] = _failure(ERR_BAD_REQUEST, exc)
             continue
+        group.append((position, request["op"], fields, query))
+    for engine, group in groups.values():
         try:
-            value = pending.result(timeout=600.0)
-            if meta["op"] == "tune":
-                config, counters = value
-                result = tune_response_fields(
-                    meta["model"], meta["version"], meta["kernel"],
-                    meta["scale"], config, counters)
-            else:
-                result = map_response_fields(meta["model"], meta["version"],
-                                             meta["kernel"], int(value))
-            results.append({"ok": True, "result": result})
+            answers = engine.predict_batch([q for *_, q in group])
+            code = ERR_BAD_REQUEST           # in-band: could not be prepared
         except Exception as exc:
-            results.append({"ok": False,
-                            "error": {"code": ERR_INTERNAL,
-                                      "message": f"{type(exc).__name__}: "
-                                                 f"{exc}"}})
+            answers, code = [exc] * len(group), ERR_INTERNAL
+        for (position, op, fields, _), answer in zip(group, answers):
+            if isinstance(answer, Exception):
+                results[position] = _failure(code, answer)
+            elif op == "tune":
+                results[position] = {"ok": True, "result":
+                                     tune_response_fields(*fields, *answer)}
+            else:
+                results[position] = {"ok": True, "result":
+                                     map_response_fields(*fields,
+                                                         int(answer))}
     drift: Dict[str, Any] = {}
-    for label, engine in engines_used.items():
+    for label, (engine, _) in groups.items():
         summary = engine.drift_summary()
         if summary is not None:
             drift[label] = summary
@@ -287,11 +287,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                 try:
                     results.append(_execute_one(service, request, debug_ops))
                 except Exception as exc:
-                    results.append(
-                        {"ok": False,
-                         "error": {"code": ERR_BAD_REQUEST,
-                                   "message": f"{type(exc).__name__}: "
-                                              f"{exc}"}})
+                    results.append(_failure(ERR_BAD_REQUEST, exc))
         if tune_map:
             answers, extras = _execute_tune_map(
                 service, [request for _, request in tune_map])
@@ -310,7 +306,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
 # ----------------------------------------------------------------------
 class _PendingRequest:
     __slots__ = ("request_id", "op", "payload", "reply", "enqueued_at",
-                 "attempts", "route")
+                 "attempts", "route", "stalled")
 
     def __init__(self, request_id, op, payload, reply, route):
         self.request_id = request_id
@@ -320,6 +316,7 @@ class _PendingRequest:
         self.enqueued_at = time.perf_counter()
         self.attempts = 0
         self.route = route
+        self.stalled = False          # counted as shadow contention
 
 
 class _Worker:
@@ -339,9 +336,8 @@ class ServeDaemon:
     """Socket front-end + dispatcher + healing worker pool (see module doc)."""
 
     def __init__(self, address: str, registry_root: Optional[str] = None,
-                 workers: int = 2, max_batch: int = 16,
-                 deadline_ms: float = 10.0, max_queue: int = 64,
-                 engine_max_wait_ms: float = 2.0, cache_size: int = 512,
+                 workers: int = 2, max_batch: int = 16, max_queue: int = 64,
+                 cache_size: int = 512,
                  preload: Optional[List[str]] = None, debug_ops: bool = False,
                  mp_start_method: Optional[str] = None,
                  watch_interval_s: float = 0.5):
@@ -359,10 +355,8 @@ class ServeDaemon:
                               if registry_root is not None else None)
         self.workers = int(workers)
         self.max_batch = int(max_batch)
-        self.deadline_s = float(deadline_ms) / 1e3
         self.max_queue = int(max_queue)
         self.engine_opts = {"max_batch_size": int(max_batch),
-                            "max_wait_ms": float(engine_max_wait_ms),
                             "cache_size": int(cache_size)}
         self.preload = list(preload or [])
         self.debug_ops = bool(debug_ops)
@@ -407,7 +401,6 @@ class ServeDaemon:
         self._shadow_queued = 0
         self._shadow_batch_ids: set = set()
         self._shadow_contention = 0
-        self._contention_seen: set = set()
         self._shadow_batch_count = 0
         self._control_lock = threading.Lock()
         self._control_waiters: Dict[int, Dict[str, Any]] = {}
@@ -862,81 +855,85 @@ class ServeDaemon:
                                      message, queue_depth=depth))
 
     # ------------------------------------------------------------------
-    # dispatcher: deadline-aware batch formation
+    # dispatcher: work-conserving batch formation
     # ------------------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while True:
             with self._lock:
                 if not self._running:
                     return
-                batch_assignment = self._form_batch_locked()
-                if batch_assignment is None:
-                    if self._idle_worker_locked() is None:
-                        # all workers busy: nothing to compute until the
-                        # collector/monitor notifies that one freed up
-                        self._work_available.wait(0.5)
-                    else:
-                        self._work_available.wait(
-                            self._next_deadline_locked())
+                assignment = self._form_batch_locked()
+                if assignment is None:
+                    # nothing to dispatch until an admission, a finished
+                    # batch or a healed worker notifies
+                    self._work_available.wait(0.5)
                     continue
-                worker, batch_id, batch, payloads = batch_assignment
+                worker, batch_id, _, payloads = assignment
             try:
                 worker.task_queue.put(("batch", batch_id, payloads))
             except (OSError, ValueError):
                 pass        # dead worker: the monitor reassigns the batch
 
-    def _idle_worker_locked(self) -> Optional[_Worker]:
-        for worker in self._pool.values():
-            if worker.busy_with is None and worker.alive():
-                return worker
-        return None
-
     def _form_batch_locked(self):
-        """Pop one flushable batch and assign it to an idle worker.
+        """Pop the next batch and assign it to an idle worker, or ``None``.
 
-        A route flushes when it holds ``max_batch`` requests, when its
-        oldest request has waited ``deadline_ms``, or unconditionally
-        during a drain.  Among flushable routes the one with the *oldest*
-        head request wins, so a saturated hot route cannot starve another
-        route's overdue requests.  Returns ``None`` when nothing is
-        flushable or no worker is idle.
+        Work-conserving: while a worker is idle and live requests wait, the
+        route with the *oldest* head request flushes at once, up to
+        ``max_batch`` requests.  A lone request goes straight to an idle
+        worker; batches form from what queued up while every worker was
+        busy.  Oldest-head-first keeps a saturated hot route from starving
+        another route's requests.
 
         Version stamping happens here, under the dispatch lock: a
         latest-route batch is dispatched with the lifecycle's *resolved*
         active version written into every payload, so one batch is always
         one version and a hot-swap flip takes effect exactly between
-        batches.  When no live batch is flushable, a queued *shadow*
-        batch may use the worker — but only while enough workers stay
-        idle for arriving live traffic (shadow never runs ahead of it).
+        batches.  With no live request waiting, a queued *shadow* batch may
+        take a worker — but only while at least ``min(2, pool)`` workers
+        are idle, so shadow work never takes the last idle worker of a
+        larger pool.
         """
-        worker = self._idle_worker_locked()
-        if worker is None:
+        idle = [worker for worker in self._pool.values()
+                if worker.busy_with is None and worker.alive()]
+        if not idle:
             self._note_shadow_contention_locked()
             return None
-        now = time.perf_counter()
-        chosen = None
-        for route, pending in self._routes.items():
-            if not pending:
-                continue
-            if (len(pending) >= self.max_batch or self._draining
-                    or now - pending[0].enqueued_at >= self.deadline_s):
-                if (chosen is None or pending[0].enqueued_at
-                        < self._routes[chosen][0].enqueued_at):
-                    chosen = route
-        if chosen is None:
-            return self._form_shadow_batch_locked(worker)
-        pending = self._routes[chosen]
+        if not self._routes:
+            return self._form_shadow_batch_locked(idle)
+        # a route is deleted with its last request, so every head exists
+        route = min(self._routes,
+                    key=lambda key: self._routes[key][0].enqueued_at)
+        batch_id, batch = self._pop_batch_locked(self._routes, route, idle[0])
+        self._queued -= len(batch)
+        return idle[0], batch_id, batch, \
+            self._stamped_payloads_locked(route, batch)
+
+    def _form_shadow_batch_locked(self, idle: List[_Worker]):
+        """A shadow batch, taken only while ``min(2, pool)`` workers idle."""
+        if (not self._shadow_routes or self._draining
+                or len(idle) < min(2, len(self._pool))):
+            return None
+        route = next(iter(self._shadow_routes))
+        batch_id, batch = self._pop_batch_locked(self._shadow_routes, route,
+                                                 idle[0])
+        self._shadow_queued -= len(batch)
+        self._shadow_batch_ids.add(batch_id)
+        return idle[0], batch_id, batch, \
+            [request.payload for request in batch]
+
+    def _pop_batch_locked(self, routes, route: tuple, worker: _Worker
+                          ) -> Tuple[int, List[_PendingRequest]]:
+        """Up to ``max_batch`` requests of ``route``, in flight on ``worker``."""
+        pending = routes[route]
         batch = [pending.popleft()
                  for _ in range(min(len(pending), self.max_batch))]
         if not pending:
-            del self._routes[chosen]      # don't accumulate dead routes
-        self._queued -= len(batch)
-        payloads = self._stamped_payloads_locked(chosen, batch)
+            del routes[route]             # don't accumulate dead routes
         batch_id = self._next_batch_id
         self._next_batch_id += 1
         self._inflight[batch_id] = batch
         worker.busy_with = batch_id
-        return worker, batch_id, batch, payloads
+        return batch_id, batch
 
     def _stamped_payloads_locked(self, route: tuple,
                                  batch: List[_PendingRequest]
@@ -955,69 +952,17 @@ class ServeDaemon:
         return [request.payload for request in batch]
 
     def _note_shadow_contention_locked(self) -> None:
-        """Count a live batch stalled behind a shadow-occupied worker."""
-        if not self._queued or not self._shadow_batch_ids:
+        """Count, once each, queued live requests that find no idle worker
+        while a shadow batch holds one."""
+        if not self._queued or not any(
+                worker.busy_with in self._shadow_batch_ids
+                for worker in self._pool.values()):
             return
-        if not any(worker.busy_with in self._shadow_batch_ids
-                   for worker in self._pool.values()):
-            return
-        now = time.perf_counter()
         for pending in self._routes.values():
-            if not pending:
-                continue
-            if (len(pending) >= self.max_batch or self._draining
-                    or now - pending[0].enqueued_at >= self.deadline_s):
-                head = pending[0].request_id
-                if head not in self._contention_seen:
-                    self._contention_seen.add(head)
+            for request in pending:
+                if not request.stalled:
+                    request.stalled = True
                     self._shadow_contention += 1
-                return
-
-    def _form_shadow_batch_locked(self, worker: _Worker):
-        """A shadow batch, only when live traffic keeps enough workers.
-
-        Policy: with live requests queued (none flushable yet), at least
-        two workers must be idle so one remains for the live batch that
-        is about to flush; with an empty live queue any idle worker may
-        drain shadows.
-        """
-        if not self._shadow_queued or self._draining:
-            return None
-        if self._queued:
-            idle = sum(1 for candidate in self._pool.values()
-                       if candidate.busy_with is None and candidate.alive())
-            if idle < 2:
-                return None
-        chosen = None
-        for route, pending in self._shadow_routes.items():
-            if pending:
-                chosen = route
-                break
-        if chosen is None:
-            return None
-        pending = self._shadow_routes[chosen]
-        batch = [pending.popleft()
-                 for _ in range(min(len(pending), self.max_batch))]
-        if not pending:
-            del self._shadow_routes[chosen]
-        self._shadow_queued -= len(batch)
-        batch_id = self._next_batch_id
-        self._next_batch_id += 1
-        self._inflight[batch_id] = batch
-        self._shadow_batch_ids.add(batch_id)
-        worker.busy_with = batch_id
-        return worker, batch_id, batch, \
-            [request.payload for request in batch]
-
-    def _next_deadline_locked(self) -> float:
-        """Seconds until the oldest pending request's flush deadline."""
-        now = time.perf_counter()
-        horizon = 0.5
-        for pending in self._routes.values():
-            if pending:
-                horizon = min(horizon, pending[0].enqueued_at
-                              + self.deadline_s - now)
-        return max(horizon, 0.001)
 
     # ------------------------------------------------------------------
     # collector: worker results back to the connections
@@ -1088,8 +1033,12 @@ class ServeDaemon:
                 self._completed += 1
                 self._errors += int(not outcome.get("ok"))
                 self._latencies.append(latency_ms)
-                model = request.payload.get("model", request.op)
-                self._per_model[model] = self._per_model.get(model, 0) + 1
+                if outcome.get("ok"):
+                    # answered requests only: failed ones may name any
+                    # model, and the key set must stay bounded
+                    model = request.payload.get("model", request.op)
+                    self._per_model[model] = \
+                        self._per_model.get(model, 0) + 1
             if outcome.get("ok"):
                 result = dict(outcome["result"])
                 result["latency_ms"] = latency_ms
@@ -1265,7 +1214,6 @@ class ServeDaemon:
                 },
                 "per_model": dict(self._per_model),
                 "max_batch": self.max_batch,
-                "deadline_ms": 1e3 * self.deadline_s,
                 "lifecycle": lifecycle_stats,
                 "shadow": {
                     "routes": shadow_routes,

@@ -1,10 +1,15 @@
 """Thread-safe batched inference over a fitted tuner or device mapper.
 
-Concurrent ``tune`` / ``map_device`` requests are micro-batched: a worker
-thread gathers everything queued within a short window (``max_wait_ms``, up
-to ``max_batch_size``) and issues **one** :meth:`MGAModel.predict` call for
-the whole batch, which amortises graph batching and the per-call numpy
-overhead across requests.
+Two ways in, one ``MGAModel.predict`` per batch either way:
+
+* :meth:`InferenceEngine.predict_batch` answers a batch the caller already
+  holds, synchronously on the caller's thread, in ``max_batch_size``
+  chunks.  Daemon workers use it: the daemon's batch is the engine's batch.
+* ``submit_tune`` / ``submit_map`` queue single requests for in-process
+  callers; a worker thread (started by the first submit) gathers everything
+  queued within a short window (``max_wait_ms``, up to ``max_batch_size``)
+  into one batch, which amortises graph batching and the per-call numpy
+  overhead across concurrent requests.
 
 Static features are memoised in an LRU cache: the ProGraML graph, the IR2Vec
 vector and — for OpenMP tuning — the default-configuration profiling counters
@@ -105,12 +110,12 @@ class PendingResult:
 class _Request:
     __slots__ = ("graph", "vector", "extra", "finalize", "pending")
 
-    def __init__(self, graph, vector, extra, finalize, pending):
+    def __init__(self, graph, vector, extra, finalize):
         self.graph = graph
         self.vector = vector
         self.extra = extra
         self.finalize = finalize          # index -> response value
-        self.pending = pending
+        self.pending: Optional[PendingResult] = None
 
 
 class InferenceEngine:
@@ -134,18 +139,10 @@ class InferenceEngine:
         self.max_wait_s = float(max_wait_ms) / 1e3
         self.cache = _LRUCache(cache_size)
         self.results = _LRUCache(cache_size) if memoize_results else None
-        # block-diagonal graph batches (and their sorted edge layouts) are
-        # deterministic per graph tuple: repeated micro-batches of the same
-        # hot kernels skip batch construction entirely.  The key is the
-        # *ordered* id tuple (batching is order sensitive), so entries only
-        # pay off for recurring compositions — keep the capacity small to
-        # bound the retained batches under non-repeating traffic
-        self._batch_cache = _LRUCache(min(cache_size, 64))
-        self._batch_hits = 0
-        self._batch_misses = 0
         self._queue: "collections.deque[_Request]" = collections.deque()
         self._cond = threading.Condition()
         self._running = True
+        self._worker: Optional[threading.Thread] = None
         self._stats_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -154,9 +151,6 @@ class InferenceEngine:
         self._batched_requests = 0
         self._max_batch_seen = 0
         self._latency_sum = 0.0
-        self._worker = threading.Thread(target=self._serve_loop,
-                                        name="repro-serve-engine", daemon=True)
-        self._worker.start()
 
     # ------------------------------------------------------------------
     # request preparation (runs on the caller's thread, cache-memoised)
@@ -185,17 +179,14 @@ class InferenceEngine:
             self.cache.put(key, cached)
         return cached
 
-    # ------------------------------------------------------------------
-    # public API
-    # ------------------------------------------------------------------
-    def submit_tune(self, spec: KernelSpec, scale: float = 1.0) -> PendingResult:
-        """Queue one OpenMP tuning request; returns immediately."""
+    def _prepare_tune(self, spec: KernelSpec, scale: float):
+        """The memoised answer, or a :class:`_Request` ready for predict."""
         if not isinstance(self.predictor, MGATuner):
             raise TypeError("this engine serves a DeviceMapper, not a tuner")
-        pending = PendingResult()
         key = ("tune", spec.uid, spec.model.value, float(scale))
-        if self._try_memoized(key, pending):
-            return pending
+        hit = self._memoized_answer(key)
+        if hit is not None:
+            return hit
         graph, vector, extra, counters = self._tune_features(spec, scale)
         if self.drift_monitor is not None:
             self.drift_monitor.observe(
@@ -210,24 +201,18 @@ class InferenceEngine:
                 self.results.put(key, (index, counters))
             return configs[index], dict(counters)
 
-        self._enqueue(_Request(graph, vector, extra, finalize, pending))
-        return pending
+        return _Request(graph, vector, extra, finalize)
 
-    def tune(self, spec: KernelSpec, scale: float = 1.0
-             ) -> Tuple[OMPConfig, Dict[str, float]]:
-        """Blocking :meth:`MGATuner.tune` equivalent (batched under the hood)."""
-        return self.submit_tune(spec, scale).result()
-
-    def submit_map(self, spec: KernelSpec, transfer_bytes: float,
-                   wgsize: int) -> PendingResult:
-        """Queue one CPU/GPU mapping request; returns immediately."""
+    def _prepare_map(self, spec: KernelSpec, transfer_bytes: float,
+                     wgsize: int):
+        """The memoised answer, or a :class:`_Request` ready for predict."""
         if not isinstance(self.predictor, DeviceMapper):
             raise TypeError("this engine serves an MGATuner, not a mapper")
-        pending = PendingResult()
         key = ("map", spec.uid, spec.model.value, float(transfer_bytes),
                int(wgsize))
-        if self._try_memoized(key, pending):
-            return pending
+        hit = self._memoized_answer(key)
+        if hit is not None:
+            return hit
         graph, vector = self._map_features(spec)
         if self.drift_monitor is not None:
             self.drift_monitor.observe(
@@ -241,8 +226,85 @@ class InferenceEngine:
                 self.results.put(key, (index, None))
             return index
 
-        self._enqueue(_Request(graph, vector, extra, finalize, pending))
-        return pending
+        return _Request(graph, vector, extra, finalize)
+
+    def _memoized_answer(self, key):
+        """The response of an already-served request, or ``None``."""
+        if self.results is None:
+            return None
+        hit = self.results.get(key)
+        if hit is None:
+            return None
+        index, counters = hit
+        if key[0] == "tune":
+            return self.predictor.configs[index], dict(counters)
+        return index
+
+    # ------------------------------------------------------------------
+    # public API
+    # ------------------------------------------------------------------
+    def predict_batch(self, queries: Sequence[tuple]) -> List[object]:
+        """Answer a batch synchronously, on the caller's thread.
+
+        Each query is ``(spec, scale)`` for a tuner or ``(spec,
+        transfer_bytes, wgsize)`` for a mapper; the answers are what
+        :meth:`tune` / :meth:`map_device` return, in query order.  Memoised
+        queries are answered at once, the rest by one ``MGAModel.predict``
+        per ``max_batch_size`` chunk.  A query that cannot be prepared
+        (wrong kind, failing feature extraction) gets its exception in its
+        slot, without failing the others; a failing ``predict`` raises.
+        """
+        started = time.perf_counter()
+        prepare = (self._prepare_tune if isinstance(self.predictor, MGATuner)
+                   else self._prepare_map)
+        answers: List[object] = []
+        todo: List[Tuple[int, _Request]] = []
+        memoized = 0
+        for query in queries:
+            try:
+                prepared = prepare(*query)
+            except Exception as exc:
+                answers.append(exc)
+                continue
+            if isinstance(prepared, _Request):
+                todo.append((len(answers), prepared))
+            else:
+                memoized += 1
+            answers.append(prepared)
+        with self._stats_lock:
+            self._requests += memoized + len(todo)
+            self._memoized += memoized
+            self._latency_sum += memoized * (time.perf_counter() - started)
+        for start in range(0, len(todo), self.max_batch_size):
+            chunk = todo[start:start + self.max_batch_size]
+            try:
+                values = self._predict([request for _, request in chunk])
+            except Exception:
+                with self._stats_lock:
+                    self._errors += len(chunk)
+                raise
+            for (position, _), value in zip(chunk, values):
+                answers[position] = value
+            self._count_batch(len(chunk),
+                              len(chunk) * (time.perf_counter() - started))
+        return answers
+
+    def submit_tune(self, spec: KernelSpec, scale: float = 1.0) -> PendingResult:
+        """Queue one OpenMP tuning request; returns immediately."""
+        pending = PendingResult()
+        return self._submit(pending, self._prepare_tune(spec, scale))
+
+    def tune(self, spec: KernelSpec, scale: float = 1.0
+             ) -> Tuple[OMPConfig, Dict[str, float]]:
+        """Blocking :meth:`MGATuner.tune` equivalent (batched under the hood)."""
+        return self.submit_tune(spec, scale).result()
+
+    def submit_map(self, spec: KernelSpec, transfer_bytes: float,
+                   wgsize: int) -> PendingResult:
+        """Queue one CPU/GPU mapping request; returns immediately."""
+        pending = PendingResult()
+        return self._submit(pending,
+                            self._prepare_map(spec, transfer_bytes, wgsize))
 
     def map_device(self, spec: KernelSpec, transfer_bytes: float,
                    wgsize: int) -> int:
@@ -256,33 +318,29 @@ class InferenceEngine:
         return [h.result() for h in handles]
 
     # ------------------------------------------------------------------
-    def _try_memoized(self, key, pending: PendingResult) -> bool:
-        """Answer from the response cache if this exact request was served."""
-        if self.results is None:
-            return False
-        hit = self.results.get(key)
-        if hit is None:
-            return False
-        index, counters = hit
-        if key[0] == "tune":
-            value = (self.predictor.configs[index], dict(counters))
-        else:
-            value = index
-        pending._finish(value=value)
-        with self._stats_lock:
-            self._requests += 1
-            self._memoized += 1
-            self._latency_sum += pending.latency_seconds
-        return True
-
-    def _enqueue(self, request: _Request) -> None:
+    def _submit(self, pending: PendingResult, prepared) -> PendingResult:
+        """Finish ``pending`` from the response cache or queue the request."""
+        if not isinstance(prepared, _Request):
+            pending._finish(value=prepared)
+            with self._stats_lock:
+                self._requests += 1
+                self._memoized += 1
+                self._latency_sum += pending.latency_seconds
+            return pending
+        prepared.pending = pending
         with self._cond:
             if not self._running:
                 raise RuntimeError("engine is closed")
-            self._queue.append(request)
+            if self._worker is None:
+                self._worker = threading.Thread(target=self._serve_loop,
+                                                name="repro-serve-engine",
+                                                daemon=True)
+                self._worker.start()
+            self._queue.append(prepared)
             self._cond.notify_all()
         with self._stats_lock:
             self._requests += 1
+        return pending
 
     def _serve_loop(self) -> None:
         while True:
@@ -301,53 +359,36 @@ class InferenceEngine:
                 batch = [self._queue.popleft()
                          for _ in range(min(len(self._queue),
                                             self.max_batch_size))]
-            self._run_batch(batch)
-
-    def _batched_graph(self, graphs):
-        """Memoised ``batch_graphs`` keyed on the identity of the graph tuple.
-
-        The per-request feature cache returns the *same* graph objects for
-        repeated (kernel, input) requests, so identical micro-batches recur;
-        the stored graph list keeps the ids alive, and the identity re-check
-        guards against id reuse after an eviction.
-        """
-        key = tuple(id(g) for g in graphs)
-        hit = self._batch_cache.get(key)
-        if hit is not None and all(a is b for a, b in zip(hit[0], graphs)):
-            with self._stats_lock:
-                self._batch_hits += 1
-            return hit[1]
-        batched = batch_graphs(graphs)
-        self._batch_cache.put(key, (list(graphs), batched))
-        with self._stats_lock:
-            self._batch_misses += 1
-        return batched
-
-    def _run_batch(self, batch: List[_Request]) -> None:
-        try:
-            graphs = [r.graph for r in batch]
-            vectors = xp.stack([r.vector for r in batch])
-            extra = xp.stack([r.extra for r in batch])
-            model = self.predictor.model
-            batched = (self._batched_graph(graphs)
-                       if model.modalities.use_graph else None)
-            indices = model.predict(graphs, vectors, extra, batch=batched)
-        except BaseException as exc:           # pragma: no cover - defensive
-            for request in batch:
-                request.pending._finish(error=exc)
-            with self._stats_lock:
-                self._errors += len(batch)
-            return
-        for request, index in zip(batch, indices):
             try:
-                request.pending._finish(value=request.finalize(int(index)))
-            except BaseException as exc:       # pragma: no cover - defensive
-                request.pending._finish(error=exc)
+                values = self._predict(batch)
+            except Exception as exc:           # pragma: no cover - defensive
+                for request in batch:
+                    request.pending._finish(error=exc)
+                with self._stats_lock:
+                    self._errors += len(batch)
+                continue
+            for request, value in zip(batch, values):
+                request.pending._finish(value=value)
+            self._count_batch(len(batch), sum(r.pending.latency_seconds
+                                              for r in batch))
+
+    def _predict(self, batch: List[_Request]) -> List[object]:
+        """One ``MGAModel.predict`` over ``batch``: the finalized answers."""
+        graphs = [r.graph for r in batch]
+        vectors = xp.stack([r.vector for r in batch])
+        extra = xp.stack([r.extra for r in batch])
+        model = self.predictor.model
+        batched = batch_graphs(graphs) if model.modalities.use_graph else None
+        indices = model.predict(graphs, vectors, extra, batch=batched)
+        return [request.finalize(int(index))
+                for request, index in zip(batch, indices)]
+
+    def _count_batch(self, size: int, latency_sum: float) -> None:
         with self._stats_lock:
             self._batches += 1
-            self._batched_requests += len(batch)
-            self._max_batch_seen = max(self._max_batch_seen, len(batch))
-            self._latency_sum += sum(r.pending.latency_seconds for r in batch)
+            self._batched_requests += size
+            self._max_batch_seen = max(self._max_batch_seen, size)
+            self._latency_sum += latency_sum
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, float]:
@@ -372,9 +413,9 @@ class InferenceEngine:
                 "result_cache_hit_rate": (self.results.hits
                                           / max(1, result_lookups)
                                           if self.results is not None else 0.0),
-                "batch_cache_hit_rate": (
-                    self._batch_hits
-                    / max(1, self._batch_hits + self._batch_misses)),
+                # block-diagonal batches are no longer cached (every batch
+                # is built fresh); the key stays for dashboards
+                "batch_cache_hit_rate": 0.0,
                 "mean_latency_ms": 1e3 * self._latency_sum / max(1, completed),
                 "drift": (self.drift_monitor.summary()
                           if self.drift_monitor is not None else None),
@@ -396,7 +437,9 @@ class InferenceEngine:
             leftover = list(self._queue)
             self._queue.clear()
             self._cond.notify_all()
-        self._worker.join()
+            worker = self._worker
+        if worker is not None:
+            worker.join()
         for request in leftover:
             request.pending._finish(error=RuntimeError("engine is closed"))
 

@@ -250,7 +250,7 @@ class TestHotSwap:
                      for version in (1, 2)}
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
-                         max_batch=4, deadline_ms=5.0, max_queue=256,
+                         max_batch=4, max_queue=256,
                          watch_interval_s=0.0) as daemon:
             with DaemonClient(path) as admin:
                 admin.swap("m", version=1)
@@ -309,8 +309,7 @@ class TestHotSwap:
                      for version in (1, 2)}
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
-                         max_batch=4, deadline_ms=2.0,
-                         watch_interval_s=0.0):
+                         max_batch=4, watch_interval_s=0.0):
             with DaemonClient(path) as client:
                 client.swap("m", version=1)
                 # prime the v1 engine's feature/prediction caches
@@ -339,8 +338,7 @@ class TestHotSwap:
                                          small_openmp_dataset)
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
-                         max_batch=4, deadline_ms=2.0,
-                         watch_interval_s=0.05):
+                         max_batch=4, watch_interval_s=0.05):
             with DaemonClient(path) as client:
                 assert _tune(client)["version"] == 2    # latest, unpinned
                 registry.publish("m", tuner_pair[0],
@@ -364,8 +362,7 @@ class TestHotSwap:
                                          small_openmp_dataset)
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
-                         max_batch=4, deadline_ms=2.0,
-                         watch_interval_s=0.05):
+                         max_batch=4, watch_interval_s=0.05):
             with DaemonClient(path) as client:
                 client.swap("m", version=1)              # explicit = pinned
                 registry.publish("m", tuner_pair[1])
@@ -403,8 +400,7 @@ class TestShadowDeploys:
         _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
-                         max_batch=4, deadline_ms=2.0,
-                         watch_interval_s=0.0) as daemon:
+                         max_batch=4, watch_interval_s=0.0) as daemon:
             with DaemonClient(path) as admin:
                 admin.swap("m", version=1)
                 started = admin.shadow_start("m", 2, fraction=1.0,
@@ -448,7 +444,7 @@ class TestShadowDeploys:
         registry.publish("m", tuner_pair[1])
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
-                         max_batch=4, deadline_ms=2.0, watch_interval_s=0.0):
+                         max_batch=4, watch_interval_s=0.0):
             with DaemonClient(path) as admin:
                 admin.swap("m", version=2)
                 admin.shadow_start("m", 3, fraction=1.0, tolerance=0.0,
@@ -479,7 +475,7 @@ class TestShadowDeploys:
         kernel, scale = disagreeing[0]
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
-                         max_batch=4, deadline_ms=2.0, watch_interval_s=0.0):
+                         max_batch=4, watch_interval_s=0.0):
             with DaemonClient(path) as admin:
                 admin.swap("m", version=1)
                 admin.shadow_start("m", 2, fraction=1.0, tolerance=0.0,
@@ -508,7 +504,7 @@ class TestStatsSchema:
         _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
         path = _socket_path()
         with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
-                         max_batch=4, deadline_ms=2.0, watch_interval_s=0.1):
+                         max_batch=4, watch_interval_s=0.1):
             with DaemonClient(path) as client:
                 client.swap("m", version=1)
                 client.shadow_start("m", 2, fraction=1.0)
@@ -574,10 +570,9 @@ class TestRouterLifecycle:
         _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
         paths = [_socket_path(), _socket_path()]
         with ServeDaemon(paths[0], registry_root=str(tmp_path), workers=1,
-                         max_batch=4, deadline_ms=2.0, watch_interval_s=0.0):
+                         max_batch=4, watch_interval_s=0.0):
             with ServeDaemon(paths[1], registry_root=str(tmp_path),
-                             workers=1, max_batch=4, deadline_ms=2.0,
-                             watch_interval_s=0.0):
+                             workers=1, max_batch=4, watch_interval_s=0.0):
                 router_path = _socket_path()
                 with ServeRouter(router_path,
                                  [f"g={paths[0]}", f"g={paths[1]}"],

@@ -55,7 +55,7 @@ def _collect_reference(root, scales):
     """What a fresh, fault-free daemon pinned to v2 answers."""
     path = _socket_path()
     with ServeDaemon(path, registry_root=root, workers=1, max_batch=4,
-                     deadline_ms=2.0, watch_interval_s=0.0):
+                     watch_interval_s=0.0):
         with DaemonClient(path) as client:
             client.swap("m", version=2)
             return {scale: _request(client, scale) for scale in scales}
@@ -74,7 +74,7 @@ class TestHotSwapChaos:
         monkeypatch.setenv("REPRO_FAULT_SEED", "3")
         path = _socket_path()
         with ServeDaemon(path, registry_root=chaos_registry, workers=2,
-                         max_batch=4, deadline_ms=5.0, max_queue=256,
+                         max_batch=4, max_queue=256,
                          watch_interval_s=0.0) as daemon:
             with DaemonClient(path) as admin:
                 admin.swap("m", version=1)

@@ -184,6 +184,29 @@ class TestInferenceEngine:
         assert stats["memoized_responses"] >= 1
         assert stats["errors"] == 0
 
+    def test_predict_batch_answers_on_the_callers_thread(self, trained_tuner):
+        tuner, _ = trained_tuner
+        specs = [kernel_registry.get_kernel(uid)
+                 for uid in ("polybench/atax", "polybench/gemm",
+                             "rodinia/kmeans")]
+        queries = [(spec, scale) for spec in specs for scale in (0.5, 1.5)]
+        naive = [tuner.tune(spec, scale=scale) for spec, scale in queries]
+        with InferenceEngine(tuner, max_batch_size=4) as engine:
+            answers = engine.predict_batch(queries)
+            memoized, broken = engine.predict_batch(
+                [queries[0], (specs[0], float("nan"))])
+            stats = engine.stats()
+            assert engine._worker is None        # no engine thread started
+        assert answers == naive
+        assert memoized == naive[0]
+        assert isinstance(broken, ValueError)    # fails alone, in its slot
+        assert stats["batches"] == 2             # chunks of 4 + 2
+        assert stats["requests"] == len(queries) + 1
+        assert stats["completed"] == len(queries) + 1
+        assert stats["memoized_responses"] == 1
+        assert stats["errors"] == 0
+        assert stats["batch_cache_hit_rate"] == 0.0
+
     def test_map_requests_match_mapper(self, trained_mapper):
         mapper, _ = trained_mapper
         specs = kernel_registry.opencl_kernels()[12:16]

@@ -6,6 +6,7 @@ import socket
 import subprocess
 import sys
 import tempfile
+import collections
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -14,6 +15,7 @@ import pytest
 
 from repro.core import MGATuner
 from repro.kernels import registry as kernel_registry
+from repro.serve import daemon as daemon_module
 from repro.serve import (
     DaemonClient,
     DaemonError,
@@ -23,6 +25,7 @@ from repro.serve import (
     TuneRequest,
     TuningService,
 )
+from repro.serve.daemon import _PendingRequest, _Worker
 from repro.simulator.microarch import COMET_LAKE_8C, SKYLAKE_4114
 from repro.tuners.campaign import (
     LookupObjectiveSpec,
@@ -57,9 +60,16 @@ def serving_daemon(registry_root):
     """One warm daemon shared by the serving tests (module scoped)."""
     path = _socket_path()
     with ServeDaemon(path, registry_root=registry_root, workers=2,
-                     max_batch=4, deadline_ms=5.0, max_queue=64,
+                     max_batch=4, max_queue=64,
                      preload=["openmp"]) as daemon:
         yield daemon
+
+
+def _wait_for(condition, timeout: float = 30.0) -> None:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
 
 
 def _sessions(count: int):
@@ -142,12 +152,22 @@ class TestDaemonServing:
             # the connection survives every error response
             assert client.ping()
 
+    def test_failed_requests_leave_per_model_bounded(self, serving_daemon):
+        before = set(serving_daemon.stats()["per_model"])
+        with DaemonClient(serving_daemon.socket_path) as client:
+            for i in range(50):
+                with pytest.raises(DaemonError) as err:
+                    client.request({"op": "tune", "model": f"ghost-{i}",
+                                    "kernel": "polybench/gemm"})
+                assert err.value.code == "bad_request"
+        assert set(serving_daemon.stats()["per_model"]) == before
+
 
 # ----------------------------------------------------------------------
 class TestDaemonFailurePaths:
     def test_malformed_requests(self):
         path = _socket_path()
-        with ServeDaemon(path, workers=1, max_batch=2, deadline_ms=2.0):
+        with ServeDaemon(path, workers=1, max_batch=2):
             raw = socket.socket(socket.AF_UNIX)
             raw.connect(path)
             raw.sendall(b"not json at all\n")
@@ -166,7 +186,7 @@ class TestDaemonFailurePaths:
 
     def test_queue_overflow_sheds_with_structured_response(self):
         path = _socket_path()
-        with ServeDaemon(path, workers=1, max_batch=1, deadline_ms=1.0,
+        with ServeDaemon(path, workers=1, max_batch=1,
                          max_queue=2, debug_ops=True) as daemon:
             with ThreadPoolExecutor(max_workers=10) as pool:
                 busy = pool.submit(
@@ -197,9 +217,13 @@ class TestDaemonFailurePaths:
 
     def test_worker_crash_mid_batch_retries_and_heals(self):
         path = _socket_path()
-        with ServeDaemon(path, workers=2, max_batch=4, deadline_ms=20.0,
+        with ServeDaemon(path, workers=2, max_batch=4,
                          max_queue=32, debug_ops=True) as daemon:
             with ThreadPoolExecutor(max_workers=8) as pool:
+                def sleeper():
+                    return DaemonClient(path).request(
+                        {"op": "_sleep", "seconds": 1.0})
+
                 def crash():
                     try:
                         DaemonClient(path).request({"op": "_crash"})
@@ -211,19 +235,26 @@ class TestDaemonFailurePaths:
                     return DaemonClient(path).request(
                         {"op": "_sleep", "seconds": 0.01})
 
+                # occupy every worker first (one sleeper each, so none is
+                # co-batched): the crash and its victims then queue on the
+                # debug route and leave together as one batch
+                sleepers = []
+                for busy in (1, 2):
+                    sleepers.append(pool.submit(sleeper))
+                    _wait_for(lambda: daemon.stats()["queue"][
+                        "inflight_batches"] == busy)
                 crash_future = pool.submit(crash)
                 victims = [pool.submit(victim) for _ in range(3)]
+                _wait_for(lambda: daemon.stats()["queue"]["depth"] == 4)
                 # the crash op fails cleanly, never retried
                 assert crash_future.result(timeout=60) == "worker_crashed"
                 # co-batched innocents are retried on a healthy worker
                 for future in victims:
                     assert future.result(timeout=60)["slept"] == 0.01
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                stats = daemon.stats()
-                if stats["workers"]["alive"] == 2:
-                    break
-                time.sleep(0.05)
+                for future in sleepers:
+                    assert future.result(timeout=60)["slept"] == 1.0
+            _wait_for(lambda: daemon.stats()["workers"]["alive"] == 2)
+            stats = daemon.stats()
             assert stats["workers"]["alive"] == 2    # pool healed
             assert stats["workers"]["restarts"] >= 1
             assert stats["requests"]["retried"] >= 1
@@ -233,7 +264,7 @@ class TestDaemonFailurePaths:
 
     def test_drain_on_shutdown_completes_outstanding_work(self):
         path = _socket_path()
-        daemon = ServeDaemon(path, workers=2, max_batch=1, deadline_ms=1.0,
+        daemon = ServeDaemon(path, workers=2, max_batch=1,
                              max_queue=32, debug_ops=True).start()
         with ThreadPoolExecutor(max_workers=8) as pool:
             slow = [pool.submit(lambda: DaemonClient(path).request(
@@ -251,7 +282,7 @@ class TestDaemonFailurePaths:
 
     def test_new_requests_shed_while_draining(self):
         path = _socket_path()
-        with ServeDaemon(path, workers=1, max_batch=1, deadline_ms=1.0,
+        with ServeDaemon(path, workers=1, max_batch=1,
                          max_queue=32, debug_ops=True):
             with ThreadPoolExecutor(max_workers=6) as pool:
                 slow = pool.submit(lambda: DaemonClient(path).request(
@@ -274,8 +305,7 @@ class TestSessionServing:
         sessions = _sessions(6)
         local = run_search_sessions(sessions, workers=1)
         path = _socket_path()
-        with ServeDaemon(path, workers=2, max_batch=4,
-                         deadline_ms=5.0) as daemon:
+        with ServeDaemon(path, workers=2, max_batch=4) as daemon:
             remote = run_search_sessions(sessions, workers=4, daemon=path)
             stats = daemon.stats()
         assert stats["per_model"]["session"] == len(sessions)
@@ -288,7 +318,7 @@ class TestSessionServing:
 
     def test_tune_and_map_need_a_registry(self):
         path = _socket_path()
-        with ServeDaemon(path, workers=1, max_batch=1, deadline_ms=1.0):
+        with ServeDaemon(path, workers=1, max_batch=1):
             with DaemonClient(path) as client:
                 with pytest.raises(DaemonError) as err:
                     client.request({"op": "tune", "model": "any",
@@ -307,8 +337,7 @@ class TestDaemonCLI:
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         daemon = subprocess.Popen(
             [sys.executable, "-m", "repro.serve", "daemon",
-             "--socket", path, "--workers", "1", "--max-batch", "2",
-             "--deadline-ms", "5"],
+             "--socket", path, "--workers", "1", "--max-batch", "2"],
             stdout=subprocess.PIPE, text=True, env=env)
         try:
             ready = json.loads(daemon.stdout.readline())
@@ -337,6 +366,168 @@ class TestDaemonCLI:
             if daemon.poll() is None:
                 daemon.kill()
                 daemon.wait()
+
+
+# ----------------------------------------------------------------------
+class _StubProcess:
+    def is_alive(self) -> bool:
+        return True
+
+
+class _FrozenClock:
+    """``time`` as the daemon module sees it, with ``perf_counter`` stopped."""
+
+    def __getattr__(self, name):
+        return getattr(time, name)
+
+    @staticmethod
+    def perf_counter() -> float:
+        return 100.0
+
+
+class _StubLifecycle:
+    def __init__(self, active: int):
+        self.active = active
+
+    def resolve(self, model: str) -> int:
+        return self.active
+
+
+def _dispatcher(workers: int, max_batch: int = 4, lifecycle=None):
+    """An unstarted daemon over stub workers: no threads, no processes."""
+    daemon = ServeDaemon("never-bound.sock", workers=workers,
+                         max_batch=max_batch)
+    daemon._running = True               # admit without serving
+    daemon._lifecycle = lifecycle
+    for worker_id in range(workers):
+        daemon._pool[worker_id] = _Worker(worker_id, _StubProcess(), None)
+    return daemon
+
+
+def _enqueue(daemon, request_id, model="m", version=None,
+             enqueued_at=None) -> _PendingRequest:
+    payload = {"op": "tune", "model": model, "kernel": "polybench/gemm"}
+    if version is not None:
+        payload["version"] = version
+    request = _PendingRequest(request_id, "tune", payload, lambda doc: None,
+                              daemon._route_of(payload, "tune"))
+    if enqueued_at is not None:
+        request.enqueued_at = enqueued_at
+    daemon._admit(request)
+    return request
+
+
+def _enqueue_shadow(daemon, request_id) -> None:
+    payload = {"op": "tune", "model": "m", "kernel": "polybench/gemm",
+               "version": 2}
+    request = _PendingRequest(request_id, "tune", payload, lambda doc: None,
+                              ("shadow", "m", 2))
+    daemon._shadow_routes.setdefault(request.route,
+                                     collections.deque()).append(request)
+    daemon._shadow_queued += 1
+
+
+def _form(daemon):
+    with daemon._lock:
+        return daemon._form_batch_locked()
+
+
+class TestDispatchRule:
+    """The dispatch decision on a frozen clock, without sleeps."""
+
+    @pytest.fixture(autouse=True)
+    def frozen_clock(self, monkeypatch):
+        monkeypatch.setattr(daemon_module, "time", _FrozenClock())
+
+    def test_lone_request_dispatches_at_once_to_an_idle_worker(self):
+        daemon = _dispatcher(workers=2)
+        request = _enqueue(daemon, "r0")
+        worker, batch_id, batch, payloads = _form(daemon)
+        assert batch == [request]
+        assert payloads == [request.payload]
+        assert worker.busy_with == batch_id
+        assert daemon._inflight[batch_id] == [request]
+        assert daemon._queued == 0 and not daemon._routes
+        assert _form(daemon) is None             # nothing left to send
+
+    def test_all_workers_busy_yields_none(self):
+        daemon = _dispatcher(workers=2)
+        for worker in daemon._pool.values():
+            worker.busy_with = -1
+        for i in range(3):
+            _enqueue(daemon, f"r{i}")
+        assert _form(daemon) is None
+        assert daemon._queued == 3
+
+    def test_freed_worker_takes_up_to_max_batch_oldest_head_first(self):
+        daemon = _dispatcher(workers=1, max_batch=4)
+        worker = daemon._pool[0]
+        worker.busy_with = -1
+        late = [_enqueue(daemon, f"b{i}", model="b", enqueued_at=2.0)
+                for i in range(2)]
+        early = [_enqueue(daemon, f"a{i}", model="a", enqueued_at=1.0 + i)
+                 for i in range(6)]
+        batches = []
+        while daemon._queued:
+            worker.busy_with = None              # the previous batch is done
+            batches.append(_form(daemon)[2])
+        # route a's head is the oldest until only its last two requests
+        # (5.0, 6.0) remain, behind route b's head (2.0)
+        assert batches == [early[:4], late, early[4:]]
+
+    def test_shadow_never_takes_the_last_idle_worker(self):
+        daemon = _dispatcher(workers=2)
+        _enqueue_shadow(daemon, "s0")
+        _enqueue_shadow(daemon, "s1")
+        # live work first, even with both workers idle...
+        live = _enqueue(daemon, "r0")
+        assert _form(daemon)[2] == [live]
+        # ...and then one idle worker is the last one: no shadow takes it
+        assert _form(daemon) is None
+        daemon._pool[0].busy_with = None
+        daemon._pool[1].busy_with = None
+        _, batch_id, batch, _ = _form(daemon)
+        assert [request.request_id for request in batch] == ["s0", "s1"]
+        assert batch_id in daemon._shadow_batch_ids
+        _enqueue_shadow(daemon, "s2")
+        assert _form(daemon) is None             # one idle worker left
+        # a one-worker pool lends its only idle worker to shadow work
+        solo = _dispatcher(workers=1)
+        _enqueue_shadow(solo, "s0")
+        assert _form(solo)[2][0].request_id == "s0"
+
+    def test_contention_counts_each_stalled_live_request_once(self):
+        daemon = _dispatcher(workers=2)
+        _enqueue_shadow(daemon, "s0")
+        _form(daemon)                            # shadow takes worker 0
+        daemon._pool[1].busy_with = -1           # live work holds worker 1
+        for i in range(3):
+            _enqueue(daemon, f"r{i}")
+        assert _form(daemon) is None
+        assert _form(daemon) is None
+        assert daemon._shadow_contention == 3
+        # no shadow batch in flight: a busy pool is not contention
+        plain = _dispatcher(workers=1)
+        plain._pool[0].busy_with = -1
+        _enqueue(plain, "r0")
+        assert _form(plain) is None
+        assert plain._shadow_contention == 0
+
+    def test_batches_are_stamped_with_one_resolved_version(self):
+        daemon = _dispatcher(workers=2, lifecycle=_StubLifecycle(active=7))
+        latest = [_enqueue(daemon, f"r{i}", enqueued_at=1.0)
+                  for i in range(3)]
+        pinned = _enqueue(daemon, "p0", version=3, enqueued_at=2.0)
+        _, _, batch, payloads = _form(daemon)
+        assert batch == latest
+        assert [payload["version"] for payload in payloads] == [7, 7, 7]
+        assert all("version" not in r.payload for r in latest)  # copies
+        _, _, batch, payloads = _form(daemon)
+        assert batch == [pinned] and payloads == [pinned.payload]
+        # without a registry, payloads go out exactly as received
+        registryless = _dispatcher(workers=1)
+        request = _enqueue(registryless, "r0")
+        assert _form(registryless)[3] == [request.payload]
 
 
 # ----------------------------------------------------------------------

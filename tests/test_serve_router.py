@@ -127,7 +127,7 @@ class TestHashRing:
 # ----------------------------------------------------------------------
 class TestTCPTransport:
     def test_daemon_round_trip_over_tcp(self):
-        with ServeDaemon(LOOPBACK, workers=1, max_batch=2, deadline_ms=2.0,
+        with ServeDaemon(LOOPBACK, workers=1, max_batch=2,
                          debug_ops=True) as daemon:
             assert daemon.scheme == "tcp"
             assert daemon.address.startswith("tcp://127.0.0.1:")
@@ -141,8 +141,7 @@ class TestTCPTransport:
 
     def test_partial_frames_across_recv_boundaries(self):
         """One frame dribbled byte-group-wise, then two frames in one send."""
-        with ServeDaemon(LOOPBACK, workers=1, max_batch=2,
-                         deadline_ms=2.0) as daemon:
+        with ServeDaemon(LOOPBACK, workers=1, max_batch=2) as daemon:
             raw = connect_address(daemon.address, timeout=10.0)
             raw.settimeout(10.0)
             try:
@@ -165,8 +164,7 @@ class TestTCPTransport:
     def test_oversized_payload_rejected(self, monkeypatch):
         from repro.serve import protocol
         monkeypatch.setattr(protocol, "MAX_LINE_BYTES", 4096)
-        with ServeDaemon(LOOPBACK, workers=1, max_batch=2,
-                         deadline_ms=2.0) as daemon:
+        with ServeDaemon(LOOPBACK, workers=1, max_batch=2) as daemon:
             raw = connect_address(daemon.address, timeout=10.0)
             raw.settimeout(10.0)
             try:
@@ -191,7 +189,7 @@ class TestTCPTransport:
 
     def test_client_reconnects_after_replica_restart(self):
         first = ServeDaemon(LOOPBACK, workers=1, max_batch=2,
-                            deadline_ms=2.0, debug_ops=True).start()
+                            debug_ops=True).start()
         address = first.address
         client = DaemonClient(address)
         try:
@@ -206,7 +204,6 @@ class TestTCPTransport:
             while True:
                 try:
                     second = ServeDaemon(address, workers=1, max_batch=2,
-                                         deadline_ms=2.0,
                                          debug_ops=True).start()
                     break
                 except OSError:
@@ -226,7 +223,7 @@ class TestTCPTransport:
             first.shutdown()
 
     def test_stats_gained_p999_and_per_route_depth(self):
-        with ServeDaemon(LOOPBACK, workers=1, max_batch=1, deadline_ms=1.0,
+        with ServeDaemon(LOOPBACK, workers=1, max_batch=1,
                          max_queue=32, debug_ops=True) as daemon:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 blockers = [pool.submit(
@@ -282,10 +279,10 @@ def fleet(registry_root):
     """Two single-replica groups (one AF_UNIX, one TCP) behind a router."""
     replica_unix = ServeDaemon(
         _socket_path(), registry_root=registry_root, workers=1, max_batch=4,
-        deadline_ms=5.0, preload=_model_names(), debug_ops=True).start()
+        preload=_model_names(), debug_ops=True).start()
     replica_tcp = ServeDaemon(
         LOOPBACK, registry_root=registry_root, workers=1, max_batch=4,
-        deadline_ms=5.0, preload=_model_names(), debug_ops=True).start()
+        preload=_model_names(), debug_ops=True).start()
     router = ServeRouter(
         LOOPBACK, replicas=[("g0", replica_unix.address),
                             ("g1", replica_tcp.address)],
@@ -371,7 +368,7 @@ class TestRouterServing:
     def test_admission_control_sheds_with_structured_error(self,
                                                            registry_root):
         replica = ServeDaemon(_socket_path(), workers=1, max_batch=1,
-                              deadline_ms=1.0, max_queue=64,
+                              max_queue=64,
                               debug_ops=True).start()
         router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
                              probe_interval=0.2, max_inflight=2,
@@ -405,9 +402,9 @@ class TestRouterServing:
     def test_ejection_failover_and_readmission(self):
         path_a, path_b = _socket_path(), _socket_path()
         replica_a = ServeDaemon(path_a, workers=1, max_batch=2,
-                                deadline_ms=2.0, debug_ops=True).start()
+                                debug_ops=True).start()
         replica_b = ServeDaemon(path_b, workers=1, max_batch=2,
-                                deadline_ms=2.0, debug_ops=True).start()
+                                debug_ops=True).start()
         router = ServeRouter(LOOPBACK,
                              replicas=[("ga", path_a), ("gb", path_b)],
                              probe_interval=0.1, fail_after=2).start()
@@ -433,7 +430,7 @@ class TestRouterServing:
                 # restart the replica at the same address: the next probe
                 # re-admits it and its shard range comes home
                 revived = ServeDaemon(victim.address, workers=1, max_batch=2,
-                                      deadline_ms=2.0, debug_ops=True).start()
+                                      debug_ops=True).start()
                 try:
                     assert _await(
                         lambda: router.stats()["replicas"][victim.address]
@@ -465,7 +462,7 @@ class TestRouterServing:
             return subprocess.Popen(
                 [sys.executable, "-m", "repro.serve", "daemon",
                  "--tcp", "127.0.0.1:0", "--workers", "1",
-                 "--max-batch", "2", "--deadline-ms", "5", "--debug-ops"],
+                 "--max-batch", "2", "--debug-ops"],
                 stdout=subprocess.PIPE, text=True, env=env)
 
         victim_proc, survivor_proc = popen_daemon(), popen_daemon()
@@ -509,7 +506,7 @@ class TestRouterServing:
 
     def test_no_replica_left_is_a_structured_error(self):
         replica = ServeDaemon(_socket_path(), workers=1, max_batch=2,
-                              deadline_ms=2.0, debug_ops=True).start()
+                              debug_ops=True).start()
         router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
                              probe_interval=60.0).start()   # passive only
         try:
@@ -527,9 +524,9 @@ class TestRouterServing:
     def test_round_robin_within_a_group(self):
         path_a, path_b = _socket_path(), _socket_path()
         replica_a = ServeDaemon(path_a, workers=1, max_batch=2,
-                                deadline_ms=2.0, debug_ops=True).start()
+                                debug_ops=True).start()
         replica_b = ServeDaemon(path_b, workers=1, max_batch=2,
-                                deadline_ms=2.0, debug_ops=True).start()
+                                debug_ops=True).start()
         # one group, two members: both serve the same shard
         router = ServeRouter(LOOPBACK, replicas=[("g0", path_a),
                                                  ("g0", path_b)],
@@ -568,7 +565,7 @@ class TestLoadgen:
         assert rows[-1]["le_ms"] == float("inf")     # overflow bucket
 
     def test_open_loop_against_a_daemon(self):
-        with ServeDaemon(LOOPBACK, workers=2, max_batch=4, deadline_ms=1.0,
+        with ServeDaemon(LOOPBACK, workers=2, max_batch=4,
                          max_queue=64, debug_ops=True) as daemon:
             report = open_loop(
                 daemon.address, [{"op": "_sleep", "seconds": 0.005}] * 60,
@@ -588,7 +585,7 @@ class TestLoadgen:
     def test_open_loop_counts_sheds_past_saturation(self):
         # 1 worker x 50ms per request ≈ 20 rps capacity; offer 400 rps
         # with a 2-deep queue: the overload MUST be shed, not queued
-        with ServeDaemon(LOOPBACK, workers=1, max_batch=1, deadline_ms=1.0,
+        with ServeDaemon(LOOPBACK, workers=1, max_batch=1,
                          max_queue=2, debug_ops=True) as daemon:
             report = open_loop(
                 daemon.address, [{"op": "_sleep", "seconds": 0.05}] * 80,
@@ -618,8 +615,7 @@ class TestRouterCLI:
                 stdout=subprocess.PIPE, text=True, env=env)
 
         daemon = popen("daemon", "--tcp", "127.0.0.1:0", "--workers", "1",
-                       "--max-batch", "2", "--deadline-ms", "5",
-                       "--debug-ops")
+                       "--max-batch", "2", "--debug-ops")
         router = None
         try:
             ready = json.loads(daemon.stdout.readline())
