@@ -1,14 +1,15 @@
 """Figure 1 (motivation): kmeans thread sweep + best-thread distribution."""
 
-from repro.evaluation.experiments import fig1
+from repro.pipeline import run_experiment
 
 
 def test_fig1_motivation(once, capsys):
-    fig1a = once(fig1.run_fig1a, scale=2.0)
-    fig1b = fig1.run_fig1b(max_kernels=20, num_inputs=8)
+    run = once(run_experiment, "fig1",
+               overrides={"max_kernels": 20, "num_inputs": 8})
+    fig1a, fig1b = run.result["fig1a"], run.result["fig1b"]
     with capsys.disabled():
         print()
-        print(fig1.format_result(fig1a, fig1b))
+        print(run.text)
     # shape checks: tuning matters for a substantial fraction of combinations
     assert fig1b["percent_non_default"] > 30.0
     assert min(fig1a, key=fig1a.get) != 1

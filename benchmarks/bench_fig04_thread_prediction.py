@@ -4,16 +4,17 @@ Expected shape (paper): MGA and the other DL tuners are much closer to the
 oracle than the Default configuration and the search/Bayesian tuners.
 """
 
-from repro.evaluation.experiments import fig4
 from repro.evaluation.metrics import geometric_mean
+from repro.pipeline import run_experiment
 
 
 def test_fig4_thread_prediction(once, capsys):
-    result = once(fig4.run, max_kernels=14, num_inputs=4, folds=3, epochs=25,
-                  budget=5)
+    run = once(run_experiment, "fig4", overrides=dict(
+        max_kernels=14, num_inputs=4, folds=3, epochs=25, budget=5))
+    result = run.result
     with capsys.disabled():
         print()
-        print(fig4.format_result(result))
+        print(run.text)
     table = result["normalized"]
     mga = geometric_mean([v for v in table["MGA"] if v > 0])
     default = geometric_mean([v for v in table["Default"] if v > 0])

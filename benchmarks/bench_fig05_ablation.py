@@ -1,13 +1,15 @@
 """Figure 5: static vs dynamic feature ablation (reduced size)."""
 
-from repro.evaluation.experiments import fig5
+from repro.pipeline import run_experiment
 
 
 def test_fig5_static_dynamic_ablation(once, capsys):
-    result = once(fig5.run, max_kernels=12, num_inputs=4, epochs=25, budget=5)
+    run = once(run_experiment, "fig5", overrides=dict(
+        max_kernels=12, num_inputs=4, epochs=25, budget=5))
+    result = run.result
     with capsys.disabled():
         print()
-        print(fig5.format_result(result))
+        print(run.text)
     # shape: the full MGA model (static + dynamic) does not lose to the
     # static-only variant, and everything stays below the oracle
     assert result["MGA"] >= result["MGA-Static"] - 0.1

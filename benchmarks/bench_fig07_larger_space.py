@@ -8,7 +8,7 @@ quality assertions are a coin flip).  ``REPRO_BENCH_QUICK=1`` runs a tiny
 smoke configuration that only checks the experiment machinery end to end.
 """
 
-from repro.evaluation.experiments import fig7
+from repro.pipeline import run_experiment
 
 from conftest import QUICK
 
@@ -16,10 +16,11 @@ from conftest import QUICK
 def test_fig7_larger_search_space(once, capsys):
     kwargs = (dict(max_apps=4, num_inputs=2, epochs=4, budget=4)
               if QUICK else dict(max_apps=8, num_inputs=4, epochs=60, budget=8))
-    result = once(fig7.run, **kwargs)
+    run = once(run_experiment, "fig7", overrides=kwargs)
+    result = run.result
     with capsys.disabled():
         print()
-        print(fig7.format_result(result))
+        print(run.text)
     summary = result["summary"]
     assert summary["search_space_size"] == 7 * 3 * 7
     if QUICK:

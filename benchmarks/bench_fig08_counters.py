@@ -1,13 +1,14 @@
 """Figure 8: counter comparison (default vs tuned config) for 2mm."""
 
-from repro.evaluation.experiments import fig8
+from repro.pipeline import run_experiment
 
 
 def test_fig8_counters(once, capsys):
-    result = once(fig8.run)
+    run = once(run_experiment, "fig8")
+    result = run.result
     with capsys.disabled():
         print()
-        print(fig8.format_result(result))
+        print(run.text)
     assert result["predicted_time"] <= result["default_time"]
     norm = result["normalized_counters"]
     assert norm["PAPI_L3_LDM"][0] <= norm["PAPI_L3_LDM"][1] * 1.2

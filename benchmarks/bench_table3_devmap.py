@@ -1,17 +1,18 @@
 """Table 3: OpenCL heterogeneous device mapping (reduced size)."""
 
-from repro.evaluation.experiments import table3
+from repro.pipeline import run_experiment
 from repro.simulator.microarch import TAHITI_7970
 
 
 def test_table3_device_mapping(once, capsys):
-    result = once(table3.run, gpus=(TAHITI_7970,), max_kernels=40,
-                  points_per_kernel=3, folds=4, epochs=15,
-                  include_baselines=("Static mapping", "Grewe et al.",
-                                     "DeepTune", "inst2vec"))
+    run = once(run_experiment, "table3", overrides=dict(
+        gpus=(TAHITI_7970,), max_kernels=40, points_per_kernel=3, folds=4,
+        epochs=15, include_baselines=("Static mapping", "Grewe et al.",
+                                      "DeepTune", "inst2vec")))
+    result = run.result
     with capsys.disabled():
         print()
-        print(table3.format_result(result))
+        print(run.text)
     rows = result[TAHITI_7970.name]
     mga = rows["MGA"]
     static = rows["Static mapping"]

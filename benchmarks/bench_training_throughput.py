@@ -170,9 +170,8 @@ def run(quick: bool = False) -> dict:
     n = len(labels)
     result = {
         "quick": quick,
-        # active array backend behind repro.nn.backend.xp — future
-        # cupy/torch numbers land in the same trajectory file, keyed by
-        # this field instead of a schema change
+        # active array backend behind repro.nn.backend.xp (numpy or
+        # checked)
         "backend": nn_runtime.config().backend,
         "num_samples": n,
         "num_parameters": paired["num_parameters"],

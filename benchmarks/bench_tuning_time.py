@@ -1,15 +1,15 @@
-"""§4.1.4: tuning-cost comparison (MGA vs search tuners) and §6 training speed."""
+"""§4.1.4: tuning-cost comparison (MGA vs search tuners)."""
 
-
-from repro.evaluation.experiments import tuning_time
+from repro.pipeline import run_experiment
 
 
 def test_tuning_cost_comparison(once, capsys):
-    result = once(tuning_time.run, budget=8, train_kernels=8, train_inputs=3,
-                  epochs=8)
+    run = once(run_experiment, "tuning_time", overrides=dict(
+        budget=8, train_kernels=8, train_inputs=3, epochs=8))
+    result = run.result
     with capsys.disabled():
         print()
-        print(tuning_time.format_result(result))
+        print(run.text)
     mga = result["MGA"]
     for name in ("ytopt", "OpenTuner", "BLISS"):
         assert result[name]["kernel_executions"] > mga["kernel_executions"]

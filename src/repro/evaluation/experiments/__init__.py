@@ -6,10 +6,9 @@ experiment-level parameters — and registers it with
 :mod:`repro.pipeline.registry`, plus a ``format_result(...)`` helper that
 prints the rows / series the paper reports.
 
-The uniform entry point is ``python -m repro run <experiment>`` (or
+The one entry point is ``python -m repro run <experiment>`` (or
 :func:`repro.pipeline.run_experiment`), which adds stage caching and
-multiprocess tuning fan-out.  The per-module ``run(**overrides)`` functions
-are thin legacy shims over the same pipeline and will eventually go away.
+multiprocess tuning fan-out.
 """
 
 from repro.evaluation.experiments import common

@@ -5,8 +5,9 @@
 loops and input sizes (≈64% of combinations need a non-default thread count
 in the paper).
 
-Declared as the ``fig1`` experiment spec; ``run_fig1a``/``run_fig1b`` are
-legacy shims kept for backward compatibility.
+Declared as the ``fig1`` experiment spec; run it with
+``python -m repro run fig1`` or ``run_experiment("fig1")``, whose result
+holds both panels (``fig1a`` and ``fig1b``).
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import BuildDataset, ExperimentSpec, Report, ref, stage_impl
-from repro.simulator.microarch import COMET_LAKE_8C, MicroArch, microarch_from_config
+from repro.simulator.microarch import MicroArch, microarch_from_config
 
 
 def _fig1a(arch: MicroArch, scale: float,
@@ -83,26 +83,8 @@ SPEC = ExperimentSpec(
 )
 
 
-# ----------------------------------------------------------------------
-# legacy entry points (deprecated: use ``python -m repro run fig1``)
-# ----------------------------------------------------------------------
-def run_fig1a(arch: MicroArch = COMET_LAKE_8C, scale: float = 2.0,
-              max_threads: Optional[int] = None) -> Dict[int, float]:
-    """Execution time of kmeans per thread count."""
-    return _fig1a(microarch_from_config(arch), scale, max_threads)
-
-
-def run_fig1b(**overrides) -> Dict[str, object]:
-    """Distribution of best thread counts across loops × inputs.
-
-    Accepts the ``fig1`` spec parameters (``arch``, ``max_kernels``,
-    ``num_inputs``, ``seed``, ...) as keyword overrides and delegates to the
-    pipeline.
-    """
-    return run_legacy("fig1", overrides)["fig1b"]
-
-
-def format_result(fig1a: Dict[int, float], fig1b: Dict[str, object]) -> str:
+def format_result(result: Dict[str, object]) -> str:
+    fig1a, fig1b = result["fig1a"], result["fig1b"]
     lines = ["Figure 1a: kmeans execution time per thread count"]
     best = min(fig1a.values())
     for t, time in fig1a.items():
@@ -117,8 +99,4 @@ def format_result(fig1a: Dict[int, float], fig1b: Dict[str, object]) -> str:
     return "\n".join(lines)
 
 
-def _format_pipeline_result(result: Dict[str, object]) -> str:
-    return format_result(result["fig1a"], result["fig1b"])
-
-
-register_experiment(SPEC, _format_pipeline_result)
+register_experiment(SPEC, format_result)

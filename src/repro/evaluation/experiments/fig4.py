@@ -6,7 +6,7 @@ the oracle speedup.  Expected shape (paper): MGA is the closest to the oracle
 (≥0.95 in most folds), followed by IR2Vec, PROGRAML, then the search tuners.
 
 Declared as the ``fig4`` experiment spec (dataset → search → DL → report);
-``run()`` is a legacy shim over the pipeline.
+run it with ``python -m repro run fig4`` or ``run_experiment("fig4")``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from repro.evaluation.experiments.common import (
     oracle_speedups,
 )
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -112,11 +111,6 @@ SPEC = ExperimentSpec(
     quick={"max_kernels": 6, "num_inputs": 3, "folds": 2, "epochs": 4,
            "budget": 4},
 )
-
-
-def run(**overrides) -> Dict[str, object]:
-    """Legacy shim: run the ``fig4`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig4", overrides)
 
 
 def format_result(result: Dict[str, object]) -> str:

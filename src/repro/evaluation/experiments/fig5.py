@@ -5,7 +5,8 @@ are compared with their static-only variants, a dynamic-only model and the
 search tuners, on a randomized 80/20 split.  Expected shape: static+dynamic >
 static-only > dynamic-only, and all DL models above the search tuners.
 
-Declared as the ``fig5`` experiment spec; ``run()`` is a legacy shim.
+Declared as the ``fig5`` experiment spec; run it with
+``python -m repro run fig5`` or ``run_experiment("fig5")``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict
 
 from repro.evaluation.metrics import geometric_mean
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -95,11 +95,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"max_kernels": 6, "num_inputs": 3, "epochs": 4, "budget": 4},
 )
-
-
-def run(**overrides) -> Dict[str, float]:
-    """Legacy shim: run the ``fig5`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig5", overrides)
 
 
 def format_result(result: Dict[str, float]) -> str:

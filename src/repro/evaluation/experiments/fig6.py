@@ -4,7 +4,8 @@
 the model must generalise across both axes.  Expected shape: MGA still close
 to (but a little further from) the oracle than in Figure 4.
 
-Declared as the ``fig6`` experiment spec; ``run()`` is a legacy shim.
+Declared as the ``fig6`` experiment spec; run it with
+``python -m repro run fig6`` or ``run_experiment("fig6")``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from typing import Dict, List
 from repro.evaluation.experiments.common import oracle_speedups
 from repro.evaluation.metrics import geometric_mean
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -76,11 +76,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"max_kernels": 6, "num_inputs": 4, "folds": 2, "epochs": 4},
 )
-
-
-def run(**overrides) -> Dict[str, List[float]]:
-    """Legacy shim: run the ``fig6`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig6", overrides)
 
 
 def format_result(result: Dict[str, List[float]]) -> str:

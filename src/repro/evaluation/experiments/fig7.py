@@ -5,7 +5,8 @@ Skylake 10c/20t system with the Table-2 search space.  Expected shape: MGA
 normalised speedups ≥0.95 for most applications and above ytopt / OpenTuner /
 BLISS for most applications; ``trisolv`` remains the worst case.
 
-Declared as the ``fig7`` experiment spec; ``run()`` is a legacy shim.
+Declared as the ``fig7`` experiment spec; run it with
+``python -m repro run fig7`` or ``run_experiment("fig7")``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from typing import Dict, List, Optional
 from repro.evaluation.experiments.common import oracle_speedups
 from repro.evaluation.metrics import geometric_mean
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -121,11 +121,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"max_apps": 4, "num_inputs": 2, "epochs": 4, "budget": 4},
 )
-
-
-def run(**overrides) -> Dict[str, object]:
-    """Legacy shim: run the ``fig7`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig7", overrides)
 
 
 def format_result(result: Dict[str, object]) -> str:

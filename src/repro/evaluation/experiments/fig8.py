@@ -8,7 +8,7 @@ the tuned configuration reduces cache misses and branch mispredictions.
 Declared as the ``fig8`` experiment spec; the exhaustive sweep over the
 Table-2 space runs as a :class:`~repro.tuners.campaign.TuningCampaign`
 (``workers=N`` fans the simulated executions out over a process pool).
-``run()`` is a legacy shim.
+Run it with ``python -m repro run fig8`` or ``run_experiment("fig8")``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import ExperimentSpec, Report, TuneCandidates, ref, stage_impl
 from repro.simulator.microarch import microarch_from_config
 
@@ -104,11 +103,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"target_bytes": 16e6},
 )
-
-
-def run(**overrides) -> Dict[str, object]:
-    """Legacy shim: run the ``fig8`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig8", overrides)
 
 
 def format_result(result: Dict[str, object]) -> str:

@@ -7,7 +7,8 @@ configuration, its counters are rescaled by the cache-size ratios
 without retraining.  Expected shape: predicted configurations achieve close
 to the target system's oracle speedups for most PolyBench kernels.
 
-Declared as the ``fig9`` experiment spec; ``run()`` is a legacy shim.
+Declared as the ``fig9`` experiment spec; run it with
+``python -m repro run fig9`` or ``run_experiment("fig9")``.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Dict, List
 
 from repro.evaluation.metrics import geometric_mean
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -140,11 +140,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"max_kernels": 5, "num_inputs": 2, "epochs": 4},
 )
-
-
-def run(**overrides) -> Dict[str, object]:
-    """Legacy shim: run the ``fig9`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("fig9", overrides)
 
 
 def format_result(result: Dict[str, object]) -> str:

@@ -6,7 +6,8 @@ Grewe et al., DeepTune, inst2vec, PROGRAML-only and IR2Vec-only baselines,
 plus speedups over the static mapping.  Expected shape: MGA has the highest
 accuracy (~98% in the paper) and the best speedup relative to the oracle.
 
-Declared as the ``table3`` experiment spec; ``run()`` is a legacy shim.
+Declared as the ``table3`` experiment spec; run it with
+``python -m repro run table3`` or ``run_experiment("table3")``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 
 from repro.evaluation.metrics import geometric_mean
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -180,11 +180,6 @@ SPEC = ExperimentSpec(
            "epochs": 4, "include_baselines": ["Static mapping",
                                               "Grewe et al."]},
 )
-
-
-def run(**overrides) -> Dict[str, object]:
-    """Legacy shim: run the ``table3`` spec (accepts its parameters as kwargs)."""
-    return run_legacy("table3", overrides)
 
 
 def format_result(results: Dict[str, object]) -> str:

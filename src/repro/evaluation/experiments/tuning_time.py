@@ -12,8 +12,8 @@ tuner) the measured model inference time.
 Declared as the ``tuning_time`` experiment spec: the search tuners run as
 :class:`~repro.tuners.campaign.TuningCampaign` sessions (fanned out with
 ``workers=N``), the MGA tuner trains in a cached stage and only the
-wall-clock inference measurement re-runs on a cache hit.  ``run()`` is a
-legacy shim.
+wall-clock inference measurement re-runs on a cache hit.  Run it with
+``python -m repro run tuning_time`` or ``run_experiment("tuning_time")``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import time
 from typing import Dict
 
 from repro.pipeline.registry import register_experiment
-from repro.pipeline.runner import run_legacy
 from repro.pipeline.spec import (
     BuildDataset,
     ExperimentSpec,
@@ -163,11 +162,6 @@ SPEC = ExperimentSpec(
     ),
     quick={"budget": 4, "train_kernels": 4, "train_inputs": 2, "epochs": 3},
 )
-
-
-def run(**overrides) -> Dict[str, Dict[str, float]]:
-    """Legacy shim: run the ``tuning_time`` spec (parameters as kwargs)."""
-    return run_legacy("tuning_time", overrides)
 
 
 def format_result(results: Dict[str, Dict[str, float]]) -> str:

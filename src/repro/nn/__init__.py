@@ -4,9 +4,9 @@ Replaces PyTorch in the reproduction.  See :mod:`repro.nn.autograd` for the
 reverse-mode engine, :mod:`repro.nn.layers` for the module system and
 :mod:`repro.nn.optim` for SGD / Adam / AdamW (the paper trains with AdamW).
 Array operations route through the pluggable backend seam in
-:mod:`repro.nn.backend` (numpy reference, instrumented ``checked``,
-optional cupy/torch adapters); configure it — together with the default
-dtype and segment-ops knobs — via :mod:`repro.nn.runtime`.
+:mod:`repro.nn.backend` (numpy reference, instrumented ``checked``);
+configure it — together with the default dtype and segment-ops knobs — via
+``runtime.configure`` / ``runtime.use`` (:mod:`repro.nn.runtime`).
 """
 
 from repro.nn import backend, runtime
@@ -23,8 +23,6 @@ from repro.nn.autograd import (
     gradcheck,
     segment_mean,
     segment_sum,
-    set_default_dtype,
-    set_fast_segment_ops,
     stack_rows,
     use_fast_segment_ops,
 )
@@ -73,9 +71,7 @@ __all__ = [
     "gradcheck",
     "default_dtype",
     "get_default_dtype",
-    "set_default_dtype",
     "fast_segment_ops_enabled",
-    "set_fast_segment_ops",
     "use_fast_segment_ops",
     "softmax",
     "log_softmax",

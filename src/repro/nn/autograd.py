@@ -13,7 +13,7 @@ The engine is tuned for the training fast path:
 
 * tensors carry a float dtype (float32 or float64).  Incoming float arrays
   keep their dtype; everything else is coerced to the configurable default
-  (:func:`set_default_dtype`).  Python scalars are "weak" operands, as in
+  (``runtime.configure(default_dtype=...)``).  Python scalars are "weak" operands, as in
   PyTorch: ``x * 0.5`` never promotes a float32 graph to float64.
 * gradient accumulation is in place (``grad += g``) after the first
   contribution, instead of reallocating ``grad + g`` per edge.
@@ -24,23 +24,24 @@ The engine is tuned for the training fast path:
   precomputed :class:`SegmentLayout`: the index is sorted once and every
   scatter becomes a gather + ``xp.add_reduceat`` over contiguous runs,
   replacing the element-wise ``np.ufunc.at`` loop.  The naive ``xp.add_at``
-  path is kept behind :func:`set_fast_segment_ops` as a numerical reference.
+  path is kept behind ``runtime.configure(fast_segment_ops=False)`` as a
+  numerical reference.
 * every array operation routes through :data:`repro.nn.backend.xp`, the
   pluggable array-backend namespace.  The default numpy backend binds each
   ``xp`` entry to the numpy function itself, so this seam costs nothing and
   the numerics are bit-identical to direct numpy calls.
 
-The process-global knobs here (:func:`set_default_dtype`,
-:func:`set_fast_segment_ops`) are deprecated entry points; configure them
-through :mod:`repro.nn.runtime`, which also owns backend selection.  Both
-routes bump the config epoch, so cached tape plans can never replay state
-recorded under a different configuration.
+The process-global knobs here (default dtype, segment-ops toggle) are set
+through :mod:`repro.nn.runtime` (``configure``/``use``), which also owns
+backend selection, or scoped with the :func:`default_dtype` and
+:func:`use_fast_segment_ops` context managers.  Every actual change bumps
+the config epoch, so cached tape plans can never replay state recorded
+under a different configuration.
 """
 
 from __future__ import annotations
 
 import contextlib
-import warnings
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from . import backend as _backend
@@ -60,11 +61,11 @@ _DEFAULT_DTYPE = xp.dtype(xp.float64)
 #: original ``xp.add_at`` scatter, kept as a bit-for-bit seed reference.
 _FAST_SEGMENT_OPS = True
 
-#: Monotonic counter bumped whenever a process-global numeric knob
-#: (:func:`set_default_dtype`, :func:`set_fast_segment_ops`) actually
-#: changes value.  Memoised compiled state (tape plans) captures the epoch
-#: at build time and treats a mismatch as a guard failure, so toggling a
-#: global mid-process can never replay stale kernels.
+#: Monotonic counter bumped whenever a process-global numeric knob (default
+#: dtype, segment-ops toggle, active backend) actually changes value.
+#: Memoised compiled state (tape plans) captures the epoch at build time
+#: and treats a mismatch as a guard failure, so toggling a global
+#: mid-process can never replay stale kernels.
 _CONFIG_EPOCH = 0
 
 #: Active tape recorder (see :mod:`repro.nn.tape`), or ``None`` when ops run
@@ -95,9 +96,9 @@ def _bump_config_epoch() -> None:
 _backend.add_change_hook(_bump_config_epoch)
 
 
-def _set_default_dtype_impl(dtype) -> None:
+def _store_default_dtype(dtype) -> None:
     """Knob storage for the default dtype; called by :mod:`repro.nn.runtime`
-    and the (non-deprecated) :func:`default_dtype` context manager."""
+    and the :func:`default_dtype` context manager."""
     global _DEFAULT_DTYPE
     dtype = xp.dtype(dtype)
     if dtype not in _FLOAT_DTYPES:
@@ -105,21 +106,6 @@ def _set_default_dtype_impl(dtype) -> None:
     if dtype != _DEFAULT_DTYPE:
         _bump_config_epoch()
     _DEFAULT_DTYPE = dtype
-
-
-def set_default_dtype(dtype) -> None:
-    """Set the dtype used for non-float inputs and parameter initialisation.
-
-    .. deprecated:: use ``repro.nn.runtime.configure(default_dtype=...)``
-       (this shim forwards there and will be removed one release after the
-       runtime API landed).
-    """
-    warnings.warn(
-        "set_default_dtype() is deprecated; use "
-        "repro.nn.runtime.configure(default_dtype=...)",
-        DeprecationWarning, stacklevel=2)
-    from . import runtime
-    runtime.configure(default_dtype=dtype)
 
 
 def get_default_dtype() -> xp.dtype:
@@ -131,14 +117,14 @@ def get_default_dtype() -> xp.dtype:
 def default_dtype(dtype) -> Iterator[None]:
     """Context manager that temporarily overrides the default dtype."""
     previous = _DEFAULT_DTYPE
-    _set_default_dtype_impl(dtype)
+    _store_default_dtype(dtype)
     try:
         yield
     finally:
-        _set_default_dtype_impl(previous)
+        _store_default_dtype(previous)
 
 
-def _set_fast_segment_ops_impl(enabled: bool) -> None:
+def _store_fast_segment_ops(enabled: bool) -> None:
     """Knob storage for the segment-ops toggle; called by
     :mod:`repro.nn.runtime` and :func:`use_fast_segment_ops`."""
     global _FAST_SEGMENT_OPS
@@ -146,21 +132,6 @@ def _set_fast_segment_ops_impl(enabled: bool) -> None:
     if enabled != _FAST_SEGMENT_OPS:
         _bump_config_epoch()
     _FAST_SEGMENT_OPS = enabled
-
-
-def set_fast_segment_ops(enabled: bool) -> None:
-    """Toggle the sorted-segment (reduceat) kernels globally.
-
-    .. deprecated:: use ``repro.nn.runtime.configure(fast_segment_ops=...)``
-       (this shim forwards there and will be removed one release after the
-       runtime API landed).
-    """
-    warnings.warn(
-        "set_fast_segment_ops() is deprecated; use "
-        "repro.nn.runtime.configure(fast_segment_ops=...)",
-        DeprecationWarning, stacklevel=2)
-    from . import runtime
-    runtime.configure(fast_segment_ops=enabled)
 
 
 def fast_segment_ops_enabled() -> bool:
@@ -171,11 +142,11 @@ def fast_segment_ops_enabled() -> bool:
 def use_fast_segment_ops(enabled: bool) -> Iterator[None]:
     """Context manager variant of the segment-ops toggle."""
     previous = _FAST_SEGMENT_OPS
-    _set_fast_segment_ops_impl(enabled)
+    _store_fast_segment_ops(enabled)
     try:
         yield
     finally:
-        _set_fast_segment_ops_impl(previous)
+        _store_fast_segment_ops(previous)
 
 
 # ----------------------------------------------------------------------

@@ -23,16 +23,10 @@ Backends:
     return that exact buffer).  Numerically it calls the same numpy
     functions, so results stay bitwise identical to the ``numpy`` backend.
 
-``cupy`` / ``torch``
-    Optional device adapters, feature-detected at import of the library
-    (never at import of this module) and skipped cleanly when absent.
-    ``cupy`` arrays are ndarray-method compatible, so the full Tensor /
-    tape stack can run on them; parity with numpy is *to tolerance*, not
-    bitwise (different kernels, different reduction orders).  The
-    ``torch`` adapter covers the functional ``xp`` namespace (ufuncs,
-    segment ops, constructors) for kernel-level use; the autograd Tensor
-    stack additionally needs numpy's ndarray method surface, which torch
-    tensors do not provide — selecting it for training raises.
+Other adapters live out of tree: subclass :class:`ArrayBackend`, fill
+its namespace, and :func:`register_backend` it under a new name.  A
+factory whose library is missing raises :class:`BackendUnavailable`,
+which :func:`available_backends` reports as ``False``.
 
 Switching the active backend bumps the global config epoch (the hooks are
 registered by :mod:`repro.nn.autograd`), so cached tape plans recorded
@@ -126,8 +120,6 @@ class ArrayBackend:
 
     #: registry name; subclasses override
     name = "abstract"
-    #: False for namespace-only adapters that cannot run the Tensor stack
-    supports_tensor_stack = True
 
     def __init__(self) -> None:
         self.ns: Dict[str, object] = {}
@@ -141,8 +133,7 @@ class ArrayBackend:
         return dict(self.ns)
 
     def describe(self) -> Dict[str, object]:
-        return {"name": self.name,
-                "supports_tensor_stack": self.supports_tensor_stack}
+        return {"name": self.name}
 
 
 class NumpyBackend(ArrayBackend):
@@ -255,208 +246,6 @@ class CheckedBackend(ArrayBackend):
         return info
 
 
-class CupyBackend(ArrayBackend):
-    """CUDA adapter over cupy (feature-detected; parity to tolerance).
-
-    cupy arrays expose the ndarray method surface the Tensor stack needs
-    (``astype``, ``fill``, ``@``, reductions, fancy indexing), so the full
-    autograd/tape path can run device-resident.  ``add_reduceat`` has no
-    cupy kernel and is emulated with an exclusive-prefix-sum difference —
-    value-equivalent to numpy's reduceat for the sorted-run layouts the
-    segment ops use, but not bitwise (different summation order), which is
-    exactly the stated non-numpy parity contract.
-    """
-
-    name = "cupy"
-
-    def __init__(self) -> None:
-        super().__init__()
-        try:
-            import cupy as cp
-            import cupyx
-        except ImportError as exc:  # pragma: no cover - env without cupy
-            raise BackendUnavailable("cupy is not installed") from exc
-        ns: Dict[str, object] = {}
-        for name in ALL_NAMES:
-            ns[name] = getattr(cp, name, None)
-        ns["Generator"] = cp.random.Generator
-        ns["default_rng"] = cp.random.default_rng
-        ns["global_seed"] = cp.random.seed
-        ns["qr"] = cp.linalg.qr
-        ns["to_host"] = cp.asnumpy
-
-        def add_at(a, indices, values):
-            cupyx.scatter_add(a, indices, values)
-        ns["add_at"] = add_at
-
-        def add_reduceat(data, starts, axis=0, out=None):
-            # inclusive-prefix differences: segment i covers
-            # [starts[i], starts[i+1]) with the final segment running to
-            # the end of ``data``.  Value-equivalent to numpy reduceat for
-            # the sorted-run layouts the segment ops build, not bitwise
-            # (different summation order).
-            if axis != 0:  # pragma: no cover - seam only reduces rows
-                raise NotImplementedError("cupy add_reduceat: axis 0 only")
-            csum = cp.cumsum(data, axis=0)
-            upper = cp.concatenate(
-                [starts[1:], cp.asarray([data.shape[0]], dtype=starts.dtype)])
-            hi = csum[upper - 1]
-            lo = cp.zeros_like(hi)
-            positive = starts > 0
-            lo[positive] = csum[starts[positive] - 1]
-            result = hi - lo
-            if out is not None:
-                out[...] = result
-                return out
-            return result
-        ns["add_reduceat"] = add_reduceat
-        missing = [k for k in ALL_NAMES if ns.get(k) is None]
-        if missing:  # pragma: no cover - depends on cupy version
-            raise BackendUnavailable(
-                f"installed cupy lacks required operations: {missing}")
-        self.ns = ns
-
-
-class TorchBackend(ArrayBackend):
-    """Torch adapter for the functional ``xp`` namespace (experimental).
-
-    Covers the routed operations (ufuncs with ``out=``, segment ops,
-    constructors) over ``torch.Tensor`` operands so kernel-level code can
-    target torch devices through the same seam.  It does **not** provide
-    numpy's ndarray method surface, so the autograd Tensor stack cannot
-    run on it (``supports_tensor_stack`` is False and
-    :func:`set_active_backend` refuses it for that reason).
-    """
-
-    name = "torch"
-    supports_tensor_stack = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        try:
-            import torch
-        except ImportError as exc:  # pragma: no cover - env without torch
-            raise BackendUnavailable("torch is not installed") from exc
-        t = torch
-        ns: Dict[str, object] = {}
-        ns.update({
-            "ndarray": t.Tensor, "dtype": t.dtype,
-            "float32": t.float32, "float64": t.float64,
-            "int64": t.int64, "bool_": t.bool,
-            "integer": t.int64, "floating": t.float64,
-            "Generator": t.Generator,
-        })
-
-        def _as(x):
-            return x if isinstance(x, t.Tensor) else t.as_tensor(x)
-
-        def _wrap(fn, unary=False):
-            if unary:
-                def op(x, out=None, **kw):
-                    return fn(_as(x), out=out, **kw) if out is not None \
-                        else fn(_as(x), **kw)
-            else:
-                def op(*args, out=None, **kw):
-                    args = tuple(_as(a) for a in args)
-                    return fn(*args, out=out, **kw) if out is not None \
-                        else fn(*args, **kw)
-            return op
-
-        binary = {"add": t.add, "subtract": t.subtract,
-                  "multiply": t.multiply, "divide": t.divide,
-                  "maximum": t.maximum, "minimum": t.minimum,
-                  "power": t.pow, "greater": t.gt, "not_equal": t.ne,
-                  "matmul": t.matmul}
-        unary = {"negative": t.negative, "exp": t.exp, "log": t.log,
-                 "log1p": t.log1p, "tanh": t.tanh, "sqrt": t.sqrt,
-                 "sign": t.sign}
-        for name, fn in binary.items():
-            ns[name] = _wrap(fn)
-        for name, fn in unary.items():
-            ns[name] = _wrap(fn, unary=True)
-        ns["clip"] = lambda x, lo, hi, out=None: (
-            t.clamp(_as(x), lo, hi, out=out) if out is not None
-            else t.clamp(_as(x), lo, hi))
-
-        def _reduce(fn):
-            def op(x, axis=None, out=None, keepdims=False):
-                x = _as(x)
-                if axis is None:
-                    result = fn(x)
-                else:
-                    result = fn(x, dim=axis, keepdim=keepdims)
-                if out is not None:
-                    out.copy_(result)
-                    return out
-                return result
-            return op
-        ns["sum"] = _reduce(t.sum)
-        ns["mean"] = _reduce(t.mean)
-        ns["cumsum"] = lambda x, axis=0: t.cumsum(_as(x), dim=axis)
-        ns["take"] = lambda x, idx, axis=0, out=None: (
-            t.index_select(_as(x), axis, _as(idx), out=out)
-            if out is not None else t.index_select(_as(x), axis, _as(idx)))
-
-        ns["array"] = lambda x, dtype=None, copy=True: (
-            t.tensor(x, dtype=dtype) if copy else t.as_tensor(x, dtype=dtype))
-        ns["asarray"] = lambda x, dtype=None: t.as_tensor(x, dtype=dtype)
-        ns["ascontiguousarray"] = lambda x: _as(x).contiguous()
-        ns["empty"] = t.empty
-        ns["empty_like"] = t.empty_like
-        ns["zeros"] = t.zeros
-        ns["zeros_like"] = t.zeros_like
-        ns["ones"] = t.ones
-        ns["ones_like"] = t.ones_like
-        ns["full"] = t.full
-        ns["full_like"] = t.full_like
-        ns["arange"] = t.arange
-        ns["copyto"] = lambda dst, src: dst.copy_(_as(src))
-        ns["concatenate"] = lambda xs, axis=0: t.cat([_as(x) for x in xs],
-                                                     dim=axis)
-        ns["stack"] = lambda xs, axis=0: t.stack([_as(x) for x in xs],
-                                                 dim=axis)
-        ns["where"] = lambda c, a, b: t.where(_as(c), _as(a), _as(b))
-        ns["broadcast_to"] = lambda x, shape: t.broadcast_to(_as(x), shape)
-        ns["expand_dims"] = lambda x, axis: t.unsqueeze(_as(x), axis)
-        ns["argsort"] = lambda x, kind=None: t.argsort(_as(x), stable=True)
-        ns["sort"] = lambda x: t.sort(_as(x)).values
-        ns["searchsorted"] = lambda a, v, side="left": t.searchsorted(
-            _as(a), _as(v), right=(side == "right"))
-        ns["flatnonzero"] = lambda x: t.nonzero(_as(x).reshape(-1)).reshape(-1)
-        ns["bincount"] = lambda x, minlength=0: t.bincount(
-            _as(x), minlength=minlength)
-        ns["unique"] = lambda x: t.unique(_as(x))
-        ns["allclose"] = lambda a, b, **kw: t.allclose(_as(a), _as(b), **kw)
-        ns["diag"] = lambda x: t.diag(_as(x))
-        ns["qr"] = lambda x: tuple(t.linalg.qr(_as(x)))
-        ns["default_rng"] = lambda seed=None: _np.random.default_rng(seed)
-        ns["global_seed"] = t.manual_seed
-        ns["to_host"] = lambda x: (_as(x).detach().cpu().numpy())
-
-        def add_at(a, indices, values):
-            a.index_add_(0, _as(indices), _as(values))
-        ns["add_at"] = add_at
-
-        def add_reduceat(data, starts, axis=0, out=None):
-            if axis != 0:  # pragma: no cover - seam only reduces rows
-                raise NotImplementedError("torch add_reduceat: axis 0 only")
-            data, starts = _as(data), _as(starts)
-            csum = t.cumsum(data, dim=0)
-            upper = t.cat([starts[1:],
-                           t.as_tensor([data.shape[0]], dtype=starts.dtype)])
-            hi = csum[upper - 1]
-            lo = t.zeros_like(hi)
-            positive = starts > 0
-            lo[positive] = csum[starts[positive] - 1]
-            result = hi - lo
-            if out is not None:
-                out.copy_(result)
-                return out
-            return result
-        ns["add_reduceat"] = add_reduceat
-        self.ns = ns
-
-
 # ----------------------------------------------------------------------
 # registry + active-backend state
 # ----------------------------------------------------------------------
@@ -497,20 +286,11 @@ def available_backends() -> Dict[str, bool]:
     return out
 
 
-def backend_available(name: str) -> bool:
-    try:
-        get_backend(name)
-        return True
-    except (BackendUnavailable, KeyError):
-        return False
-
-
 def get_backend(name: str) -> ArrayBackend:
     """The (cached) backend instance for ``name``.
 
     Raises ``KeyError`` for unknown names and :class:`BackendUnavailable`
-    when the backing library is missing — callers skip cleanly on the
-    latter.
+    when a registered adapter's library is missing.
     """
     inst = _INSTANCES.get(name)
     if inst is None:
@@ -541,11 +321,6 @@ def set_active_backend(name: str) -> ArrayBackend:
     """Activate ``name`` and rebind ``xp``; no-op when already active."""
     global _ACTIVE
     backend = get_backend(name)
-    if not backend.supports_tensor_stack:
-        raise ValueError(
-            f"backend {name!r} covers the functional xp namespace only "
-            f"and cannot run the Tensor stack; it is selectable per-call "
-            f"via get_backend({name!r}).namespace()")
     if _ACTIVE is backend:
         return backend
     _ACTIVE = backend
@@ -559,10 +334,8 @@ def set_active_backend(name: str) -> ArrayBackend:
 
 register_backend("numpy", NumpyBackend)
 register_backend("checked", CheckedBackend)
-register_backend("cupy", CupyBackend)
-register_backend("torch", TorchBackend)
 
-#: initial selection: REPRO_BACKEND env var, defaulting to numpy.  A typo
-#: or an unavailable library fails loudly here rather than silently
-#: training on the wrong backend.
+#: initial selection: REPRO_BACKEND env var (``numpy`` or ``checked``),
+#: defaulting to numpy.  Any other name fails loudly here rather than
+#: silently training on the wrong backend.
 set_active_backend(os.environ.get("REPRO_BACKEND", "numpy"))

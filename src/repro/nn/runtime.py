@@ -1,14 +1,12 @@
 """Unified runtime configuration for the nn/gnn stack.
 
-One coherent surface for the process-global numeric knobs that were
-previously scattered free functions:
+One coherent surface for the process-global numeric knobs:
 
-* ``default_dtype`` — dtype for non-float inputs and parameter init
-  (was :func:`repro.nn.autograd.set_default_dtype`),
+* ``default_dtype`` — dtype for non-float inputs and parameter init,
 * ``fast_segment_ops`` — sorted-run ``reduceat`` segment kernels vs the
-  ``add_at`` reference scatter (was ``set_fast_segment_ops``),
+  ``add_at`` reference scatter,
 * ``backend`` — the active array backend behind the ``xp`` seam
-  (:mod:`repro.nn.backend`; new with this API).
+  (:mod:`repro.nn.backend`).
 
 Use :func:`configure` for permanent changes, :func:`use` to scope a change
 to a ``with`` block, :func:`config` for the current snapshot.  Every
@@ -16,10 +14,8 @@ to a ``with`` block, :func:`config` for the current snapshot.  Every
 tape config epoch, so compiled tape plans recorded under a different
 configuration guard-fail and re-record instead of replaying stale kernels.
 
-The legacy free functions remain as thin shims that emit
-``DeprecationWarning`` and forward here; the context managers
-``default_dtype`` / ``use_fast_segment_ops`` are unchanged, undeprecated
-conveniences over the same storage.
+The context managers ``default_dtype`` / ``use_fast_segment_ops`` in
+:mod:`repro.nn.autograd` are conveniences over the same storage.
 
 Example::
 
@@ -71,9 +67,9 @@ def configure(*, default_dtype=None, fast_segment_ops: Optional[bool] = None,
     if backend is not None:
         _backend.set_active_backend(backend)
     if default_dtype is not None:
-        _ag._set_default_dtype_impl(default_dtype)
+        _ag._store_default_dtype(default_dtype)
     if fast_segment_ops is not None:
-        _ag._set_fast_segment_ops_impl(fast_segment_ops)
+        _ag._store_fast_segment_ops(fast_segment_ops)
     return config()
 
 

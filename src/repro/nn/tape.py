@@ -35,9 +35,8 @@ identity-VJP nodes (scalar adds, max-shifts) are fused away entirely: when
 such a node's parent receives no other contribution, the parent's gradient
 slot aliases the child's and no thunk is emitted.
 
-Plans carry guards — the global config epoch (bumped by
-:func:`~repro.nn.autograd.set_default_dtype` /
-:func:`~repro.nn.autograd.set_fast_segment_ops`), leaf array identity, and
+Plans carry guards — the global config epoch (bumped by every actual
+change made through ``repro.nn.runtime.configure``), leaf array identity, and
 an optional caller fingerprint — and fall back to eager re-recording when
 any of them fails.  A graph containing an op the compiler does not know
 raises :class:`TapeUnsupported`, permanently pinning that step key to the

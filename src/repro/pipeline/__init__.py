@@ -49,7 +49,6 @@ from repro.pipeline.runner import (
     StageContext,
     StageRun,
     run_experiment,
-    run_legacy,
 )
 
 __all__ = [
@@ -76,5 +75,4 @@ __all__ = [
     "StageRun",
     "StageContext",
     "run_experiment",
-    "run_legacy",
 ]

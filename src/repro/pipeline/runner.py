@@ -24,8 +24,8 @@ from repro.pipeline.spec import ExperimentSpec, get_stage_impl
 from repro.simulator.microarch import GPUDevice, MicroArch
 
 #: environment switch for CLI smoke runs (the CI experiment job sets it);
-#: honoured by ``python -m repro`` only — library calls and the legacy
-#: ``run()`` shims stay environment-independent
+#: honoured by ``python -m repro`` only — library calls to
+#: :func:`run_experiment` stay environment-independent
 QUICK_ENV = "REPRO_EXP_QUICK"
 
 #: default daemon socket for ``python -m repro run`` (overridden by
@@ -113,8 +113,8 @@ def run_experiment(experiment: Union[str, ExperimentSpec], *,
                    ) -> ExperimentRun:
     """Run one experiment spec through the stage-cached pipeline.
 
-    ``cache_dir=None`` disables stage caching entirely (the legacy ``run()``
-    shims use this, so they always recompute).  ``quick=True`` applies the
+    ``cache_dir=None`` disables stage caching entirely, so every stage
+    recomputes.  ``quick=True`` applies the
     spec's quick profile underneath any explicit ``overrides``.
     """
     from repro.pipeline.registry import get_experiment
@@ -168,12 +168,3 @@ def run_experiment(experiment: Union[str, ExperimentSpec], *,
     return ExperimentRun(name=spec.name, params=params, result=result,
                          text=text, stages=runs, outputs=outputs)
 
-
-def run_legacy(name: str, overrides: Mapping[str, Any]) -> Any:
-    """Back-compat core of the per-module ``run()`` shims.
-
-    Runs the registered spec with no stage cache and returns only the report
-    output — exactly what the hand-rolled ``run()`` functions used to
-    return.
-    """
-    return run_experiment(name, overrides=overrides, cache_dir=None).result

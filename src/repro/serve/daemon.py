@@ -226,6 +226,19 @@ def _run_control(service, worker_id: int, control_id: int,
                           f"{type(exc).__name__}: {exc}"))
 
 
+def _exit_when_orphaned(parent: int) -> None:
+    """Exit this worker once the daemon that started it is gone.
+
+    A SIGKILLed daemon sends no ``stop``, so the worker's blocking
+    ``task_queue.get()`` would wait forever.  ``os._exit`` skips joining the
+    result-queue feeder, which nobody reads any more.  A watchdog thread,
+    not a ``get(timeout=...)`` poll, keeps the check off the per-batch path.
+    """
+    while os.getppid() == parent:
+        time.sleep(1.0)
+    os._exit(0)
+
+
 def _worker_main(worker_id: int, registry_root: Optional[str],
                  engine_opts: Dict[str, Any], preload: List[str],
                  debug_ops: bool, task_queue, result_queue) -> None:
@@ -237,6 +250,8 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
     # after that many answered tune/map requests — after the answers are
     # computed but before they are submitted, the nastiest instant
     faults.install(faults.FaultPlan.from_env(), seed_offset=worker_id)
+    threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
+                     name="repro-worker-orphan-watch", daemon=True).start()
     registry = ModelRegistry(registry_root) if registry_root else None
     service = TuningService(registry, **engine_opts)
     try:

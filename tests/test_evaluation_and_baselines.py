@@ -5,13 +5,13 @@ import pytest
 
 from repro.datasets import DevMapDatasetBuilder
 from repro.evaluation import geometric_mean, geomean_speedup, normalized_speedup, speedups_from_times
-from repro.evaluation.experiments import fig1, fig8, tuning_time
 from repro.evaluation.experiments.common import (
     evaluate_fold,
     normalized_table,
     search_tuner_speedups,
 )
 from repro.kernels import registry
+from repro.pipeline import run_experiment
 from repro.simulator.microarch import TAHITI_7970
 from repro.tuners import OpenTunerLike
 from repro.tuners.devmap_baselines import (
@@ -73,22 +73,22 @@ class TestDevmapBaselines:
 
 
 class TestExperimentRunners:
-    def test_fig1a_has_interior_structure(self):
-        times = fig1.run_fig1a(scale=2.0)
+    def test_fig1_small(self):
+        run = run_experiment("fig1", overrides={"max_kernels": 6,
+                                                "num_inputs": 4})
+        times = run.result["fig1a"]
         assert len(times) == 8
         assert all(t > 0 for t in times.values())
         # more threads is not monotonically better at this working set
         assert min(times, key=times.get) != 1
-
-    def test_fig1b_small(self):
-        result = fig1.run_fig1b(max_kernels=6, num_inputs=4)
+        result = run.result["fig1b"]
         assert 0.0 <= result["percent_non_default"] <= 100.0
         assert sum(result["histogram"].values()) == result["num_combinations"]
-        text = fig1.format_result(fig1.run_fig1a(), result)
-        assert "Figure 1a" in text and "Figure 1b" in text
+        assert "Figure 1a" in run.text and "Figure 1b" in run.text
 
     def test_fig8_predicted_config_improves_time_and_counters(self):
-        result = fig8.run()
+        run = run_experiment("fig8")
+        result = run.result
         assert result["predicted_time"] <= result["default_time"]
         norm = result["normalized_counters"]
         # cache behaviour should stay in the same ballpark under the tuned
@@ -96,7 +96,7 @@ class TestExperimentRunners:
         # partially reproduces that, see EXPERIMENTS.md)
         assert norm["PAPI_L1_DCM"][0] <= norm["PAPI_L1_DCM"][1] * 1.2
         assert norm["PAPI_L3_LDM"][0] <= norm["PAPI_L3_LDM"][1] * 1.2
-        assert "Figure 8" in fig8.format_result(result)
+        assert "Figure 8" in run.text
 
     def test_search_tuner_speedups_shape(self, small_openmp_dataset):
         ds = small_openmp_dataset
@@ -116,8 +116,9 @@ class TestExperimentRunners:
         assert 0.0 < table["MGA"][0] <= 1.05
 
     def test_tuning_time_comparison_shape(self):
-        result = tuning_time.run(budget=4, train_kernels=4, train_inputs=2,
-                                 epochs=3)
+        run = run_experiment("tuning_time", overrides={
+            "budget": 4, "train_kernels": 4, "train_inputs": 2, "epochs": 3})
+        result = run.result
         assert {"MGA", "ytopt", "OpenTuner", "BLISS"} <= set(result)
         # MGA needs only the profiling executions; search tuners need `budget`
         assert result["MGA"]["kernel_executions"] == 2.0
@@ -125,4 +126,4 @@ class TestExperimentRunners:
             assert result[name]["kernel_executions"] >= 4
             assert (result[name]["simulated_tuning_seconds"]
                     > result["MGA"]["simulated_tuning_seconds"])
-        assert "Tuning-cost" in tuning_time.format_result(result)
+        assert "Tuning-cost" in run.text

@@ -197,8 +197,8 @@ class TestLegacyParity:
         np.testing.assert_array_equal(new, old)
 
     def test_fig4_pipeline_matches_hand_rolled_flow(self):
-        """run() == the old build/evaluate_fold/normalize flow, bit for bit."""
-        from repro.evaluation.experiments import fig4
+        """The fig4 spec == the old build/evaluate_fold/normalize flow, bit
+        for bit."""
         from repro.evaluation.experiments.common import (
             build_openmp_dataset,
             evaluate_fold,
@@ -222,7 +222,8 @@ class TestLegacyParity:
                 seed=0))
         old_table = normalized_table(fold_results)
 
-        new = fig4.run(**FIG4_SMALL)
+        new = run_experiment("fig4", overrides=FIG4_SMALL,
+                             cache_dir=None).result
         assert list(new["normalized"]) == list(old_table)
         for name in old_table:
             assert old_table[name] == new["normalized"][name], name
@@ -241,13 +242,9 @@ class TestLegacyParity:
         for name in ("OpenTuner", "ytopt", "BLISS"):
             assert serial[name] == fanned[name], name
 
-    def test_legacy_shims_accept_spec_parameters(self):
-        from repro.evaluation.experiments import fig1
-        result = fig1.run_fig1b(max_kernels=4, num_inputs=2)
-        assert set(result) == {"histogram", "percent_non_default",
-                               "num_combinations"}
+    def test_unknown_parameter_is_rejected(self):
         with pytest.raises(TypeError, match="unknown parameter"):
-            fig1.run_fig1b(max_loops=4)
+            run_experiment("fig1", overrides={"max_loops": 4})
 
 
 # ----------------------------------------------------------------------

@@ -367,6 +367,40 @@ class TestDaemonCLI:
                 daemon.kill()
                 daemon.wait()
 
+    def test_sigkilled_daemon_does_not_orphan_its_workers(self):
+        """Workers notice their daemon is gone and exit on their own."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "daemon",
+             "--socket", _socket_path(), "--workers", "1"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            assert json.loads(daemon.stdout.readline())["ready"] is True
+            with open(f"/proc/{daemon.pid}/task/{daemon.pid}/children") as f:
+                workers = [int(pid) for pid in f.read().split()]
+            assert workers
+        finally:
+            daemon.kill()
+            daemon.wait()
+
+        def alive(pid: int) -> bool:
+            # an exited worker reparented to a non-reaping init lingers
+            # as a zombie; that counts as gone
+            try:
+                with open(f"/proc/{pid}/stat") as f:
+                    return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+            except FileNotFoundError:
+                return False
+
+        deadline = time.monotonic() + 5.0
+        while any(alive(pid) for pid in workers) and \
+                time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(alive(pid) for pid in workers), workers
+
 
 # ----------------------------------------------------------------------
 class _StubProcess:

@@ -29,14 +29,13 @@ from repro.nn import (
     config_epoch,
     cross_entropy,
     log_softmax,
+    runtime,
     segment_mean,
     segment_sum,
-    set_fast_segment_ops,
     softmax,
     stack_rows,
     use_fast_segment_ops,
 )
-from repro.nn.autograd import fast_segment_ops_enabled
 
 
 # ----------------------------------------------------------------------
@@ -297,15 +296,13 @@ class TestGuards:
         ids = np.array([0, 1, 1, 2, 0, 2, 2, 1], dtype=np.int64)
         make_loss = lambda: (segment_sum(x, ids, 3) ** 2.0).sum()
         runner = TapeRunner(wrt=[x])
-        previous = fast_segment_ops_enabled()
-        try:
-            set_fast_segment_ops(True)
+        with runtime.use(fast_segment_ops=True):
             runner.step("k", make_loss)
             runner.step("k", make_loss)
             assert runner.replays == 1
             epoch = config_epoch()
 
-            set_fast_segment_ops(False)  # bumps the config epoch
+            runtime.configure(fast_segment_ops=False)  # bumps the epoch
             assert config_epoch() == epoch + 1
             loss = runner.step("k", make_loss)
             assert runner.guard_failures == 1 and runner.records == 2
@@ -323,8 +320,6 @@ class TestGuards:
             runner.step("k", make_loss)
             assert runner.replays == 2
             np.testing.assert_array_equal(x.grad, got)
-        finally:
-            set_fast_segment_ops(previous)
 
     def test_leaf_identity_guard(self):
         """Replacing a leaf's array (not just mutating it) drops the plan."""

@@ -2,10 +2,10 @@
 
 Every array operation inside ``repro.nn`` and ``repro.gnn`` must route
 through ``repro.nn.backend.xp`` so that switching the active backend
-(numpy / checked / cupy / torch) actually switches *all* the math.  A
-stray ``import numpy`` in one of those modules silently pins that code to
-the host CPU and breaks the checked backend's accounting, so CI fails on
-it here rather than in a device-parity test months later.
+(numpy / checked, or an adapter registered out of tree) actually switches
+*all* the math.  A stray ``import numpy`` in one of those modules silently
+pins that code to numpy and breaks the checked backend's accounting, so CI
+fails on it here.
 
 The check is AST-based (not grep): it flags ``import numpy`` /
 ``import numpy as anything`` / ``from numpy import ...`` /
