@@ -73,18 +73,23 @@ class TestDevmapBaselines:
 
 
 class TestExperimentRunners:
-    def test_fig1_small(self):
-        run = run_experiment("fig1", overrides={"max_kernels": 6,
-                                                "num_inputs": 4})
-        times = run.result["fig1a"]
+    @pytest.fixture(scope="class")
+    def fig1_run(self):
+        return run_experiment("fig1", overrides={"max_kernels": 6,
+                                                 "num_inputs": 4})
+
+    def test_fig1a_has_interior_structure(self, fig1_run):
+        times = fig1_run.result["fig1a"]
         assert len(times) == 8
         assert all(t > 0 for t in times.values())
         # more threads is not monotonically better at this working set
         assert min(times, key=times.get) != 1
-        result = run.result["fig1b"]
+
+    def test_fig1b_small(self, fig1_run):
+        result = fig1_run.result["fig1b"]
         assert 0.0 <= result["percent_non_default"] <= 100.0
         assert sum(result["histogram"].values()) == result["num_combinations"]
-        assert "Figure 1a" in run.text and "Figure 1b" in run.text
+        assert "Figure 1a" in fig1_run.text and "Figure 1b" in fig1_run.text
 
     def test_fig8_predicted_config_improves_time_and_counters(self):
         run = run_experiment("fig8")
