@@ -16,15 +16,15 @@ from typing import Optional, Union
 from repro.graphs.hetero import EdgeLayout
 from repro.nn import init
 from repro.nn.autograd import (
+    Primitive,
     Tensor,
-    _record,
+    _dtype,
+    _mm,
     concat,
     fast_segment_ops_enabled,
-    _segment_sum_data,
 )
 from repro.nn.backend import xp
 from repro.nn.layers import Linear, Module
-from repro.nn.tape import _leased_matmul, register_op
 
 EdgeIndexLike = Union[xp.ndarray, EdgeLayout]
 
@@ -131,51 +131,74 @@ class FusedGRUCell(Module):
         """One GRU update as a single fused graph node.
 
         The whole cell (two wide matmuls, gate sigmoids, candidate tanh,
-        convex update) runs in plain numpy with a hand-derived backward
-        closure, so a cell step costs one autograd node instead of ~14.
+        convex update) is one primitive with a hand-derived VJP, so a cell
+        step costs one autograd node instead of ~14.
         """
-        nh = self.hidden_dim
-        w_x, w_h_zr, w_h_h, bias = self.w_x, self.w_h_zr, self.w_h_h, self.bias
-        x_data, h_data = x.data, h.data
-        gx = x_data @ w_x.data
-        gx += bias.data                                     # [n, 3h]
-        gh = h_data @ w_h_zr.data                           # [n, 2h]
-        pre = gx[:, :2 * nh] + gh
-        s = 1.0 / (1.0 + xp.exp(-xp.clip(pre, -60.0, 60.0)))
-        z, r = s[:, :nh], s[:, nh:]
-        c = r * h_data                                      # reset-gated state
-        t = xp.tanh(gx[:, 2 * nh:] + c @ w_h_h.data)        # candidate
-        one_minus_z = 1.0 - z
-        out = one_minus_z * h_data + z * t
+        return _FUSED_GRU(x, h, self.w_x, self.w_h_zr, self.w_h_h, self.bias)
 
-        def backward(grad: xp.ndarray) -> None:
-            dt = grad * z
-            dm = dt * (1.0 - t * t)                         # pre-tanh grad
-            dc = dm @ w_h_h.data.T
-            ds = xp.empty_like(s)                           # [n, 2h]
-            ds[:, :nh] = grad * (t - h_data)                # dL/dz
-            ds[:, nh:] = dc * h_data                        # dL/dr
-            dpre = ds * s * (1.0 - s)                       # pre-sigmoid grad
-            dgx = xp.concatenate([dpre, dm], axis=1)        # [n, 3h]
-            if x.requires_grad:
-                x._accumulate_owned(dgx @ w_x.data.T)
-            if h.requires_grad:
-                dh = grad * one_minus_z
-                dh += dc * r
-                dh += dpre @ w_h_zr.data.T
-                h._accumulate_owned(dh)
-            if w_x.requires_grad:
-                w_x._accumulate_owned(x_data.T @ dgx)
-            if w_h_zr.requires_grad:
-                w_h_zr._accumulate_owned(h_data.T @ dpre)
-            if w_h_h.requires_grad:
-                w_h_h._accumulate_owned(c.T @ dm)
-            if bias.requires_grad:
-                bias._accumulate_owned(dgx.sum(axis=0))
 
-        parents = (x, h, w_x, w_h_zr, w_h_h, bias)
-        return _record(Tensor._make(out, parents, backward),
-                       "fused_gru", parents, {"nh": nh})
+def _fused_gru(lease, x, h, w_x, w_h_zr, w_h_h, bias):
+    n, nh = h.shape[0], w_h_h.shape[1]
+    dtype = _dtype(x, h, w_x, w_h_zr, w_h_h, bias)
+    gx = _mm(lease.scratch, x, w_x)                     # [n, 3h]
+    xp.add(gx, bias, out=gx)
+    gh = _mm(lease.scratch, h, w_h_zr)                  # [n, 2h]
+    # s = sigmoid(gx[:, :2h] + gh), computed in place
+    s = xp.add(gx[:, :2 * nh], gh, out=lease((n, 2 * nh), dtype))
+    xp.clip(s, -60.0, 60.0, out=s)
+    xp.negative(s, out=s)
+    xp.exp(s, out=s)
+    xp.add(s, 1.0, out=s)
+    xp.divide(1.0, s, out=s)
+    z, r = s[:, :nh], s[:, nh:]
+    c = xp.multiply(r, h, out=lease((n, nh), dtype))    # reset-gated state
+    t = xp.add(gx[:, 2 * nh:], _mm(lease.scratch, c, w_h_h),
+               out=lease((n, nh), dtype))
+    xp.tanh(t, out=t)                                   # candidate
+    one_minus_z = xp.subtract(1.0, z, out=lease((n, nh), dtype))
+    out = xp.multiply(one_minus_z, h, out=lease((n, nh), dtype))
+    xp.add(out, xp.multiply(z, t, out=lease.scratch((n, nh), dtype, 1)),
+           out=out)
+    return out, (s, c, t, one_minus_z)
+
+
+def _fused_gru_vjp(lease, g, need, out, saved, x, h, w_x, w_h_zr, w_h_h,
+                   bias):
+    s, c, t, one_minus_z = saved
+    n, nh = h.shape[0], w_h_h.shape[1]
+    dtype = s.dtype
+    z, r = s[:, :nh], s[:, nh:]
+    dt = xp.multiply(g, z, out=lease.scratch((n, nh), dtype, 0))
+    tt = xp.multiply(t, t, out=lease.scratch((n, nh), dtype, 1))
+    xp.subtract(1.0, tt, out=tt)
+    dm = xp.multiply(dt, tt, out=lease.scratch((n, nh), dtype, 2))  # pre-tanh
+    dc = xp.matmul(dm, w_h_h.T, out=lease.scratch((n, nh), dtype, 3))
+    ds = lease.array((n, 2 * nh), dtype, 0)
+    xp.multiply(g, xp.subtract(t, h, out=dt), out=ds[:, :nh])      # dL/dz
+    xp.multiply(dc, h, out=ds[:, nh:])                             # dL/dr
+    dpre = xp.multiply(ds, s, out=lease.scratch((n, 2 * nh), dtype, 2))
+    xp.multiply(dpre, xp.subtract(1.0, s, out=lease.scratch((n, 2 * nh),
+                                                            dtype, 1)),
+                out=dpre)                                 # pre-sigmoid grad
+    dgx = lease.array((n, 3 * nh), dtype, 1)              # [n, 3h]
+    dgx[:, :2 * nh] = dpre
+    dgx[:, 2 * nh:] = dm
+    dh = None
+    if need[1]:
+        dh = xp.multiply(g, one_minus_z, out=lease((n, nh), dtype))
+        tmp = lease.scratch((n, nh), dtype, 0)
+        xp.add(dh, xp.multiply(dc, r, out=tmp), out=dh)
+        xp.add(dh, xp.matmul(dpre, w_h_zr.T, out=tmp), out=dh)
+    return (_mm(lease, dgx, w_x.T) if need[0] else None,
+            dh,
+            _mm(lease, x.T, dgx) if need[2] else None,
+            _mm(lease, h.T, dpre) if need[3] else None,
+            _mm(lease, c.T, dm) if need[4] else None,
+            xp.sum(dgx, axis=0, out=lease(dgx.shape[1:], dtype))
+            if need[5] else None)
+
+
+_FUSED_GRU = Primitive("fused_gru", _fused_gru, _fused_gru_vjp)
 
 
 def _mean_aggregator(layout: EdgeLayout, dtype):
@@ -190,32 +213,53 @@ def _mean_aggregator(layout: EdgeLayout, dtype):
     """
     src_sorted, dst_sorted, src_sorted_layout = layout.by_dst
     dst_layout = layout.dst_layout
-    starts, segments = dst_layout.starts, dst_layout.segments
-    num_nodes = layout.num_nodes
-    inv_deg = layout.inv_in_deg_as(dtype)                    # [n, 1]
+    attrs = {"src_sorted": src_sorted, "starts": dst_layout.starts,
+             "segments": dst_layout.segments, "num_nodes": layout.num_nodes,
+             "inv_deg": layout.inv_in_deg_as(dtype),       # [n, 1]
+             # the backward scatters per-edge grads by source: gathering
+             # (g * inv_deg)[dst_sorted] and then sorting it by source is
+             # one gather through the composed permutation
+             "perm": dst_sorted[src_sorted_layout.order],
+             "src_layout": src_sorted_layout}
 
     def aggregate(msg: Tensor) -> Tensor:
-        gathered = msg.data[src_sorted]                      # [E, dim]
-        sums = xp.zeros((num_nodes,) + gathered.shape[1:],
-                        dtype=gathered.dtype)
-        if starts.size:
-            sums[segments] = xp.add_reduceat(gathered, starts, axis=0)
-        out = sums * inv_deg
-
-        def backward(grad: xp.ndarray) -> None:
-            if msg.requires_grad:
-                per_edge = (grad * inv_deg)[dst_sorted]      # [E, dim]
-                msg._accumulate_owned(_segment_sum_data(
-                    per_edge, src_sorted, num_nodes, src_sorted_layout))
-
-        return _record(Tensor._make(out, (msg,), backward),
-                       "mean_agg", (msg,),
-                       {"src_sorted": src_sorted, "dst_sorted": dst_sorted,
-                        "src_sorted_layout": src_sorted_layout,
-                        "starts": starts, "segments": segments,
-                        "num_nodes": num_nodes, "inv_deg": inv_deg})
+        return _MEAN_AGG(msg, **attrs)
 
     return aggregate
+
+
+def _mean_agg(lease, msg, src_sorted, starts, segments, num_nodes, inv_deg,
+              perm, src_layout):
+    cols, dtype = msg.shape[1:], msg.dtype
+    gathered = xp.take(msg, src_sorted, axis=0,
+                       out=lease.scratch(src_sorted.shape + cols, dtype, 0))
+    sums = lease.array((num_nodes,) + cols, dtype, 2)
+    sums.fill(0.0)
+    if starts.size:
+        sums[segments] = xp.add_reduceat(
+            gathered, starts, axis=0,
+            out=lease.scratch(starts.shape + cols, dtype, 1))
+    return xp.multiply(sums, inv_deg, out=lease(sums.shape,
+                                                _dtype(sums, inv_deg))), None
+
+
+def _mean_agg_vjp(lease, g, need, out, saved, msg, src_sorted, starts,
+                  segments, num_nodes, inv_deg, perm, src_layout):
+    cols, dtype = g.shape[1:], _dtype(g, inv_deg)
+    scaled = xp.multiply(g, inv_deg, out=lease.scratch(g.shape, dtype, 0))
+    grad = lease.array((num_nodes,) + cols, dtype)
+    grad.fill(0.0)
+    src_starts = src_layout.starts
+    if src_sorted.size and src_starts.size:
+        ordered = xp.take(scaled, perm, axis=0,
+                          out=lease.scratch(perm.shape + cols, dtype, 1))
+        grad[src_layout.segments] = xp.add_reduceat(
+            ordered, src_starts, axis=0,
+            out=lease.scratch(src_starts.shape + cols, dtype, 2))
+    return (grad,)
+
+
+_MEAN_AGG = Primitive("mean_agg", _mean_agg, _mean_agg_vjp)
 
 
 class GCNConv(Module):
@@ -341,186 +385,6 @@ class GGNNConv(Module):
             agg = msgs.scatter_add(dst, num_nodes) * deg_in  # mean aggregation
             h = self.gru(agg, h)
         return h
-
-
-# ----------------------------------------------------------------------
-# tape replay emitters for the hand-derived primitives above
-# ----------------------------------------------------------------------
-def _fused_gru_fwd(rec, ctx):
-    vals = ctx.vals
-    x, h, wx, wzr, whh, bias = (ctx.vslot(p) for p in rec.parents)
-    o, nh = ctx.vslot(rec.out), rec.attrs["nh"]
-    cell = ctx.cell(rec)
-    n, dtype = rec.out.data.shape[0], rec.out.data.dtype
-    # each ufunc below mirrors one eager expression exactly (same op, same
-    # operand order), so replay stays bitwise-identical while allocating
-    # nothing.  s/c/t/omz survive into this node's backward -> distinct
-    # leases; gx/gh/cw/zt die with the thunk -> shared scratch
-    gx_buf = ctx.scratch((n, 3 * nh), dtype)
-    gh_buf = ctx.scratch((n, 2 * nh), dtype)
-    cw_buf = ctx.scratch((n, nh), dtype, 0)
-    zt_buf = ctx.scratch((n, nh), dtype, 1)
-    s_buf = ctx.buf((n, 2 * nh), dtype)   # pre, then sigmoid(pre) in place
-    c_buf = ctx.buf((n, nh), dtype)
-    t_buf = ctx.buf((n, nh), dtype)
-    omz_buf = ctx.buf((n, nh), dtype)
-    out_buf = ctx.obuf(rec)
-    z_buf, r_buf = s_buf[:, :nh], s_buf[:, nh:]
-    cell.update(s=s_buf, z=z_buf, r=r_buf, c=c_buf, t=t_buf, omz=omz_buf)
-
-    def run():
-        xp.matmul(vals[x], vals[wx], out=gx_buf)
-        xp.add(gx_buf, vals[bias], out=gx_buf)          # == eager `gx +=`
-        xp.matmul(vals[h], vals[wzr], out=gh_buf)
-        xp.add(gx_buf[:, :2 * nh], gh_buf, out=s_buf)   # pre
-        xp.clip(s_buf, -60.0, 60.0, out=s_buf)
-        xp.negative(s_buf, out=s_buf)
-        xp.exp(s_buf, out=s_buf)
-        xp.add(s_buf, 1.0, out=s_buf)
-        xp.divide(1.0, s_buf, out=s_buf)                # s = sigmoid(pre)
-        xp.multiply(r_buf, vals[h], out=c_buf)          # c = r * h
-        xp.matmul(c_buf, vals[whh], out=cw_buf)
-        xp.add(gx_buf[:, 2 * nh:], cw_buf, out=t_buf)
-        xp.tanh(t_buf, out=t_buf)                       # t
-        xp.subtract(1.0, z_buf, out=omz_buf)            # 1 - z
-        xp.multiply(z_buf, t_buf, out=zt_buf)
-        xp.multiply(omz_buf, vals[h], out=out_buf)
-        xp.add(out_buf, zt_buf, out=out_buf)  # == eager `omz * h + z * t`
-        vals[o] = out_buf
-    return run
-
-
-def _fused_gru_bwd(rec, ctx):
-    gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-    px, ph, pwx, pwzr, pwhh, pbias = rec.parents
-    x, h, wx, wzr, whh = (ctx.vslot(p) for p in (px, ph, pwx, pwzr, pwhh))
-    nh, cell = rec.attrs["nh"], ctx.cell(rec)
-    n, dtype = rec.out.data.shape[0], rec.out.data.dtype
-    # pooled scratch mirroring the eager backward's temporaries one-for-one
-    # (same ufunc sequence and operand order -> bitwise-identical grads).
-    # Everything here dies with this node's contiguous pre+specs block, so
-    # shared scratch is safe; only dh/dx (handed to gv, read by the parent
-    # node's backward later in the step) need distinct leases
-    dt_buf = ctx.scratch((n, nh), dtype, 0)
-    tt_buf = ctx.scratch((n, nh), dtype, 1)
-    dm_buf = ctx.scratch((n, nh), dtype, 2)
-    dc_buf = ctx.scratch((n, nh), dtype, 3)
-    ds_buf = ctx.scratch((n, 2 * nh), dtype, 0)
-    sm_buf = ctx.scratch((n, 2 * nh), dtype, 1)
-    dpre_buf = ctx.scratch((n, 2 * nh), dtype, 2)
-    dgx_buf = ctx.scratch((n, 3 * nh), dtype, 1)
-    cell.update(dm=dm_buf, dc=dc_buf, dpre=dpre_buf, dgx=dgx_buf)
-
-    def pre():
-        grad = gv[gs]
-        s, z, t = cell["s"], cell["z"], cell["t"]
-        xp.multiply(grad, z, out=dt_buf)                # dt = grad * z
-        xp.multiply(t, t, out=tt_buf)
-        xp.subtract(1.0, tt_buf, out=tt_buf)
-        xp.multiply(dt_buf, tt_buf, out=dm_buf)         # dm = dt * (1 - t*t)
-        xp.matmul(dm_buf, vals[whh].T, out=dc_buf)
-        xp.subtract(t, vals[h], out=dt_buf)             # scratch: t - h
-        xp.multiply(grad, dt_buf, out=ds_buf[:, :nh])
-        xp.multiply(dc_buf, vals[h], out=ds_buf[:, nh:])
-        xp.multiply(ds_buf, s, out=dpre_buf)            # (ds * s) ...
-        xp.subtract(1.0, s, out=sm_buf)
-        xp.multiply(dpre_buf, sm_buf, out=dpre_buf)     # ... * (1 - s)
-        dgx_buf[:, :2 * nh] = dpre_buf                  # == eager concatenate
-        dgx_buf[:, 2 * nh:] = dm_buf
-
-    specs = []
-    if px.requires_grad:
-        specs.append((px, "owned") + _leased_matmul(
-            ctx, px, lambda: cell["dgx"], lambda: vals[wx].T))
-    if ph.requires_grad:
-        dh_buf = ctx.buf((n, nh), dtype)
-        dh_tmp = ctx.scratch((n, nh), dtype, 0)
-
-        def dh_value():
-            xp.multiply(gv[gs], cell["omz"], out=dh_buf)
-            xp.multiply(cell["dc"], cell["r"], out=dh_tmp)
-            xp.add(dh_buf, dh_tmp, out=dh_buf)          # == eager `dh +=`
-            xp.matmul(cell["dpre"], vals[wzr].T, out=dh_tmp)
-            xp.add(dh_buf, dh_tmp, out=dh_buf)
-            return dh_buf
-        specs.append((ph, "owned", dh_value, None))
-    if pwx.requires_grad:
-        specs.append((pwx, "owned") + _leased_matmul(
-            ctx, pwx, lambda: vals[x].T, lambda: cell["dgx"]))
-    if pwzr.requires_grad:
-        specs.append((pwzr, "owned") + _leased_matmul(
-            ctx, pwzr, lambda: vals[h].T, lambda: cell["dpre"]))
-    if pwhh.requires_grad:
-        specs.append((pwhh, "owned") + _leased_matmul(
-            ctx, pwhh, lambda: cell["c"].T, lambda: cell["dm"]))
-    if pbias.requires_grad:
-        db_buf = ctx.buf(pbias.data.shape, dtype)
-
-        def db_value():
-            xp.sum(cell["dgx"], axis=0, out=db_buf)
-            return db_buf
-        specs.append((pbias, "owned", db_value,
-                      lambda buf: xp.sum(cell["dgx"], axis=0, out=buf)))
-    return pre, specs
-
-
-def _mean_agg_fwd(rec, ctx):
-    vals, m, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-    a = rec.attrs
-    src_sorted, starts = a["src_sorted"], a["starts"]
-    segments, num_nodes = a["segments"], a["num_nodes"]
-    inv_deg, out_buf = a["inv_deg"], ctx.obuf(rec)
-    shape, dtype = rec.out.data.shape, rec.out.data.dtype
-    # all three die with the thunk -> shared scratch; distinct ``i`` per
-    # role because edge/segment/node counts can coincide
-    gather_buf = ctx.scratch((src_sorted.shape[0],) + shape[1:], dtype, 0)
-    red_buf = ctx.scratch((starts.shape[0],) + shape[1:], dtype, 1)
-    sums_buf = ctx.scratch(shape, dtype, 2)
-
-    def run():
-        xp.take(vals[m], src_sorted, axis=0, out=gather_buf)
-        sums_buf.fill(0.0)  # == eager's fresh xp.zeros
-        if starts.size:
-            xp.add_reduceat(gather_buf, starts, axis=0, out=red_buf)
-            sums_buf[segments] = red_buf
-        xp.multiply(sums_buf, inv_deg, out=out_buf)
-        vals[o] = out_buf
-    return run
-
-
-def _mean_agg_bwd(rec, ctx):
-    gv, gs = ctx.gv, ctx.g(rec.out)
-    a = rec.attrs
-    src_sorted, dst_sorted = a["src_sorted"], a["dst_sorted"]
-    lay, num_nodes = a["src_sorted_layout"], a["num_nodes"]
-    inv_deg = a["inv_deg"]
-    shape, dtype = rec.out.data.shape, rec.out.data.dtype
-    cols = shape[1:]
-    # mean_agg is only recorded on the fast-segment-ops path, and a flag
-    # toggle bumps the config epoch (dropping this plan), so the reduceat
-    # route of _segment_sum_data can be inlined here over pooled scratch
-    scaled_buf = ctx.scratch(shape, dtype, 0)
-    order_buf = ctx.scratch((dst_sorted.shape[0],) + cols, dtype, 1)
-    red_buf = ctx.scratch((lay.starts.shape[0],) + cols, dtype, 2)
-    res_buf = ctx.buf((num_nodes,) + cols, dtype)  # handed to gv -> lease
-    # the eager path gathers twice -- (g*inv)[dst_sorted] then [lay.order]
-    # inside _segment_sum_data; pure gathers compose, so one take over the
-    # precomputed composite permutation reads the exact same elements
-    perm = dst_sorted[lay.order] if lay.starts.size else dst_sorted
-
-    def value():
-        xp.multiply(gv[gs], inv_deg, out=scaled_buf)
-        res_buf.fill(0.0)  # == _segment_sum_data's fresh xp.zeros
-        if src_sorted.size and lay.starts.size:
-            xp.take(scaled_buf, perm, axis=0, out=order_buf)
-            xp.add_reduceat(order_buf, lay.starts, axis=0, out=red_buf)
-            res_buf[lay.segments] = red_buf
-        return res_buf
-    return None, [(rec.parents[0], "owned", value, None)]
-
-
-register_op("fused_gru", _fused_gru_fwd, _fused_gru_bwd)
-register_op("mean_agg", _mean_agg_fwd, _mean_agg_bwd)
 
 
 _CONV_TYPES = {

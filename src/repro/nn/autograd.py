@@ -4,7 +4,16 @@ This is the reproduction's replacement for PyTorch's autograd: a small
 define-by-run :class:`Tensor` supporting the operations needed by the MGA
 models (dense layers, gated graph convolutions, attention, autoencoders and
 the fused classifier).  Gradients are verified against finite differences in
-the test suite (``tests/nn/test_autograd.py``).
+the test suite (``tests/test_nn_autograd.py``).
+
+Every differentiable operation is a :class:`Primitive`: one forward
+function and one VJP function, registered by name in :data:`PRIMITIVES`.
+Both draw the arrays they write from a *lease* argument.  Eager execution
+passes a lease that allocates fresh arrays; tape replay
+(:mod:`repro.nn.tape`) reruns the same two functions with a lease bound to
+pooled buffers, so replay matches eager bit for bit without a second copy
+of any primitive.  Modules define their own fused primitives the same way
+(the GRU cell and the mean aggregator in :mod:`repro.gnn.conv`).
 
 Performance notes
 -----------------
@@ -42,7 +51,9 @@ under a different configuration.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple, Union
+import operator
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple, Union)
 
 from . import backend as _backend
 from .backend import xp
@@ -72,18 +83,13 @@ _CONFIG_EPOCH = 0
 #: purely eagerly.  Set only via ``Tape.recording()``.
 _TRACE = None
 
+#: Shared empty attribute dict of primitives called without attributes.
+_NO_ATTRS: dict = {}
+
 
 def config_epoch() -> int:
     """Current global-config epoch (see ``_CONFIG_EPOCH``)."""
     return _CONFIG_EPOCH
-
-
-def _record(out: "Tensor", op: str, parents: Tuple["Tensor", ...],
-            attrs: Optional[dict] = None) -> "Tensor":
-    """Notify the active tape (if any) that ``out`` was produced by ``op``."""
-    if _TRACE is not None and out.requires_grad:
-        _TRACE.record(op, out, parents, attrs)
-    return out
 
 
 def _bump_config_epoch() -> None:
@@ -188,24 +194,6 @@ class SegmentLayout:
         self.counts = xp.bincount(index, minlength=self.num_segments)
 
 
-def _segment_sum_data(data: xp.ndarray, index: xp.ndarray, num_segments: int,
-                      layout: Optional[SegmentLayout]) -> xp.ndarray:
-    """Sum rows of ``data`` into ``num_segments`` buckets given by ``index``."""
-    data = xp.asarray(data)
-    out = xp.zeros((num_segments,) + data.shape[1:], dtype=data.dtype)
-    if index.size == 0:
-        return out
-    if _FAST_SEGMENT_OPS:
-        if layout is None:
-            layout = SegmentLayout(index, num_segments)
-        if layout.starts.size:
-            out[layout.segments] = xp.add_reduceat(
-                data[layout.order], layout.starts, axis=0)
-        return out
-    xp.add_at(out, index, data)
-    return out
-
-
 def _unbroadcast(grad: xp.ndarray, shape: Tuple[int, ...]) -> xp.ndarray:
     """Sum ``grad`` back down to ``shape`` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -220,11 +208,212 @@ def _unbroadcast(grad: xp.ndarray, shape: Tuple[int, ...]) -> xp.ndarray:
     return grad.reshape(shape)
 
 
+def _dtype(*arrays) -> xp.dtype:
+    """Result dtype of an array expression over ``arrays``."""
+    dtype = arrays[0].dtype
+    for a in arrays[1:]:
+        if a.dtype != dtype:
+            return xp.result_type(*arrays)
+    return dtype
+
+
+def _scalar_dtype(x, c) -> xp.dtype:
+    """Result dtype of ``x <op> c``: Python scalars are weak operands."""
+    if type(c) is float or type(c) is int:
+        return x.dtype
+    return xp.result_type(x, c)
+
+
+def _out(lease, a, b):
+    """``lease`` the result of the element-wise ``a <op> b``."""
+    shape = a.shape if a.shape == b.shape \
+        else xp.broadcast_shapes(a.shape, b.shape)
+    return lease(shape, a.dtype if a.dtype == b.dtype
+                 else xp.result_type(a, b))
+
+
+def _mm(lease, a, b) -> xp.ndarray:
+    """``a @ b`` into a leased array."""
+    shape = a.shape[:-1] + b.shape[-1:] if b.ndim > 1 else a.shape[:-1]
+    dtype = a.dtype if a.dtype == b.dtype else xp.result_type(a, b)
+    return xp.matmul(a, b, out=lease(shape, dtype))
+
+
+def _segment_sum(lease, data: xp.ndarray, index: xp.ndarray,
+                 num_segments: int,
+                 layout: Optional[SegmentLayout]) -> xp.ndarray:
+    """Sum rows of ``data`` into ``num_segments`` buckets given by ``index``."""
+    out = lease.array((num_segments,) + data.shape[1:], data.dtype)
+    out.fill(0.0)
+    if index.size == 0:
+        return out
+    if _FAST_SEGMENT_OPS:
+        if layout is None:
+            layout = SegmentLayout(index, num_segments)
+        starts = layout.starts
+        if starts.size:
+            cols = data.shape[1:]
+            gathered = xp.take(data, layout.order, axis=0,
+                               out=lease.scratch(layout.order.shape + cols,
+                                                 data.dtype, 0))
+            out[layout.segments] = xp.add_reduceat(
+                gathered, starts, axis=0,
+                out=lease.scratch(starts.shape + cols, data.dtype, 1))
+        return out
+    xp.add_at(out, index, data)
+    return out
+
+
+# ----------------------------------------------------------------------
+# primitives: one forward function and one VJP each
+# ----------------------------------------------------------------------
+class _EagerLease:
+    """The lease of eager execution: every array is fresh.
+
+    ``out=`` targets are ``None``, so numpy allocates each result itself
+    exactly as the out-of-place expression would.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, shape, dtype) -> None:
+        return None
+
+    def scratch(self, shape, dtype, i: int = 0) -> None:
+        return None
+
+    def array(self, shape, dtype, i: Optional[int] = None) -> xp.ndarray:
+        return xp.empty(shape, dtype=dtype)
+
+
+EAGER = _EagerLease()
+
+#: Every primitive by name; the tape compiler replays exactly these.
+PRIMITIVES: Dict[str, "Primitive"] = {}
+
+_data_of = operator.attrgetter("data")
+
+#: ``need`` of a one-parent node: it requires grad only through its parent
+_NEED_ONE = (True,)
+
+
+class Primitive:
+    """One differentiable operation, defined once for eager and replay.
+
+    ``fwd(lease, *xs, **attrs) -> (out, saved)`` maps the parents' arrays
+    to the output array plus whatever residual the VJP needs (or ``None``).
+    ``vjp(lease, g, need, out, saved, *xs, **attrs)`` maps the output
+    gradient ``g`` to one contribution per parent, ``None`` where
+    ``need[i]`` is false.
+
+    Both take every array they write from ``lease``:
+
+    * ``lease(shape, dtype)`` is the ``out=`` argument of one numpy call
+      whose result outlives the call (an output, a saved residual, a
+      gradient contribution); always use the call's return value;
+    * ``lease.scratch(shape, dtype, i)`` is the same for a temporary that
+      dies with the call (``i`` tells concurrent ones apart);
+    * ``lease.array(shape, dtype, i=None)`` is an array to write into
+      piecewise (fill, slice assignment): a temporary when ``i`` is given.
+
+    Eager execution passes :data:`EAGER`: ``out=None``, so numpy allocates
+    each result, and fresh arrays otherwise.  Tape replay
+    (:mod:`repro.nn.tape`) reruns the same call with a lease bound to
+    pooled buffers.  numpy's ``out=`` variants compute the same values as
+    the allocating forms, so replay is bit-identical to eager by
+    construction.
+
+    A contribution becomes the parent's gradient without a copy unless it
+    is ``g`` itself or ``views`` is set (the VJP returns views of ``g``).
+    ``identity`` primitives hand ``g`` itself to every parent shaped like
+    the output; the tape compiler fuses those edges away.
+    """
+
+    __slots__ = ("name", "fwd", "vjp", "identity", "views")
+
+    def __init__(self, name: str, fwd: Callable, vjp: Callable,
+                 identity: bool = False, views: bool = False):
+        self.name = name
+        self.fwd = fwd
+        self.vjp = vjp
+        self.identity = identity
+        self.views = views
+        PRIMITIVES[name] = self
+
+    def __repr__(self) -> str:
+        return f"Primitive({self.name!r})"
+
+    def __call__(self, *parents: "Tensor", **attrs) -> "Tensor":
+        """Run eagerly; link the output into the graph if it needs grad."""
+        if len(parents) == 1:
+            data, saved = self.fwd(EAGER, parents[0].data, **attrs)
+        else:
+            data, saved = self.fwd(EAGER, *map(_data_of, parents), **attrs)
+        out = Tensor(data)
+        for p in parents:
+            if p.requires_grad:
+                out.requires_grad = True
+                out._parents = parents
+                out._prim = self
+                out._saved = saved
+                out._attrs = attrs
+                if _TRACE is not None:
+                    _TRACE.record(out)
+                break
+        return out
+
+    def backprop(self, node: "Tensor", grad: xp.ndarray) -> None:
+        """Eager VJP of ``node``: accumulate into its parents' gradients."""
+        parents = node._parents
+        if len(parents) == 1:   # the common case, without the generic packing
+            grads = self.vjp(EAGER, grad, _NEED_ONE, node.data, node._saved,
+                             parents[0].data, **node._attrs)
+        else:
+            grads = self.vjp(EAGER, grad,
+                             tuple([p.requires_grad for p in parents]),
+                             node.data, node._saved,
+                             *map(_data_of, parents), **node._attrs)
+        for p, g in zip(parents, grads):
+            if g is None:
+                continue
+            if g is grad or self.views:
+                p._accumulate(g)
+            else:
+                p._accumulate_owned(g)
+
+
+def topo_sort(root: "Tensor") -> List["Tensor"]:
+    """Post-order DFS from ``root`` over the parents that require grad.
+
+    Parents come before their children.  The walk is iterative, so deep
+    graphs (a GGNN unrolled for many steps, a 2000-op chain) cannot hit
+    the recursion limit; a tensor whose parents don't require grad heads a
+    dead subgraph and is not descended into.  :meth:`Tensor.backward`
+    walks the result in reverse and the tape compiler schedules replay in
+    the same order, so gradients accumulate in the same order both ways.
+    """
+    topo: List[Tensor] = []
+    visited = {id(root)}
+    stack: List[Tuple[Tensor, int]] = [(root, 0)]
+    while stack:
+        node, next_parent = stack[-1]
+        if next_parent < len(node._parents):
+            stack[-1] = (node, next_parent + 1)
+            parent = node._parents[next_parent]
+            if parent.requires_grad and id(parent) not in visited:
+                visited.add(id(parent))
+                stack.append((parent, 0))
+        else:
+            topo.append(node)
+            stack.pop()
+    return topo
+
+
 class Tensor:
-    """A numpy array with a gradient and a backward closure."""
+    """A numpy array with a gradient and the primitive that produced it."""
 
     __slots__ = ("data", "grad", "requires_grad", "grad_arena", "_backward",
-                 "_parents", "name")
+                 "_parents", "_prim", "_saved", "_attrs", "name")
 
     def __init__(self, data: ArrayLike, requires_grad: bool = False,
                  parents: Tuple["Tensor", ...] = (),
@@ -242,8 +431,13 @@ class Tensor:
         #: buffer; :meth:`zero_grad` then clears in place instead of dropping
         #: the buffer, so its identity survives across steps.
         self.grad_arena = False
+        #: an untraced backward closure (:meth:`_make`); primitive outputs
+        #: carry ``_prim``/``_saved``/``_attrs`` instead
         self._backward = backward
         self._parents = parents
+        self._prim: Optional[Primitive] = None
+        self._saved = None
+        self._attrs: dict = _NO_ATTRS
         self.name = name
 
     # ------------------------------------------------------------------
@@ -298,7 +492,7 @@ class Tensor:
     def _accumulate_owned(self, grad: xp.ndarray) -> None:
         """Accumulate a gradient array the caller guarantees is fresh.
 
-        Backward closures that just allocated ``grad`` (a matmul product, an
+        VJPs that just allocated ``grad`` (a matmul product, an
         element-wise product, a reduction ...) hand over ownership instead of
         paying :meth:`_accumulate`'s defensive copy.  Never pass an array
         that aliases the child's gradient or another tensor's buffer.
@@ -317,6 +511,9 @@ class Tensor:
     @staticmethod
     def _make(data: xp.ndarray, parents: Tuple["Tensor", ...],
               backward: Callable[[xp.ndarray], None]) -> "Tensor":
+        """A node with a hand-written backward closure instead of a
+        :class:`Primitive`.  Eager backward runs it; the tape cannot replay
+        it, so a step containing one stays eager."""
         requires = any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=requires, parents=parents,
                      backward=backward if requires else None)
@@ -329,34 +526,13 @@ class Tensor:
         if isinstance(other, (int, float)):
             # weak scalar: keeps the tensor dtype, needs no graph node for
             # the constant and no unbroadcast in the backward pass
-            def backward(grad: xp.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate(grad)
-
-            return _record(Tensor._make(self.data + other, (self,), backward),
-                           "add_s", (self,), {"c": other})
-        other = as_tensor(other)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                g = _unbroadcast(grad, self.shape)
-                (self._accumulate if g is grad else self._accumulate_owned)(g)
-            if other.requires_grad:
-                g = _unbroadcast(grad, other.shape)
-                (other._accumulate if g is grad else other._accumulate_owned)(g)
-
-        return _record(Tensor._make(self.data + other.data, (self, other),
-                                    backward), "add_t", (self, other))
+            return _ADD_S(self, c=other)
+        return _ADD_T(self, as_tensor(other))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Tensor":
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(-grad)
-
-        return _record(Tensor._make(-self.data, (self,), backward),
-                       "neg", (self,))
+        return _NEG(self)
 
     def __sub__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
@@ -365,82 +541,26 @@ class Tensor:
 
     def __rsub__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
-            def backward(grad: xp.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate_owned(-grad)
-
-            return _record(Tensor._make(other - self.data, (self,), backward),
-                           "rsub_s", (self,), {"c": other})
+            return _RSUB_S(self, c=other)
         return as_tensor(other) + (-self)
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
-            scale = other
-
-            def backward(grad: xp.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate_owned(grad * scale)
-
-            return _record(Tensor._make(self.data * scale, (self,), backward),
-                           "mul_s", (self,), {"c": scale})
-        other = as_tensor(other)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(_unbroadcast(grad * other.data,
-                                                    self.shape))
-            if other.requires_grad:
-                other._accumulate_owned(_unbroadcast(grad * self.data,
-                                                     other.shape))
-
-        return _record(Tensor._make(self.data * other.data, (self, other),
-                                    backward), "mul_t", (self, other))
+            return _MUL_S(self, c=other)
+        return _MUL_T(self, as_tensor(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
-            def backward(grad: xp.ndarray) -> None:
-                if self.requires_grad:
-                    self._accumulate_owned(grad / other)
-
-            return _record(Tensor._make(self.data / other, (self,), backward),
-                           "div_s", (self,), {"c": other})
-        other = as_tensor(other)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(_unbroadcast(grad / other.data,
-                                                    self.shape))
-            if other.requires_grad:
-                other._accumulate_owned(_unbroadcast(
-                    -grad * self.data / (other.data ** 2), other.shape))
-
-        return _record(Tensor._make(self.data / other.data, (self, other),
-                                    backward), "div_t", (self, other))
+            return _DIV_S(self, c=other)
+        return _DIV_T(self, as_tensor(other))
 
     def __pow__(self, exponent: float) -> "Tensor":
-        exponent = float(exponent)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(
-                    grad * exponent * self.data ** (exponent - 1.0))
-
-        return _record(Tensor._make(self.data ** exponent, (self,), backward),
-                       "pow", (self,), {"e": exponent})
+        return _POW(self, e=float(exponent))
 
     def matmul(self, other: "Tensor") -> "Tensor":
-        other = as_tensor(other)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad @ other.data.T)
-            if other.requires_grad:
-                other._accumulate_owned(self.data.T @ grad)
-
-        return _record(Tensor._make(self.data @ other.data, (self, other),
-                                    backward), "matmul", (self, other))
+        return _MATMUL(self, as_tensor(other))
 
     __matmul__ = matmul
 
@@ -448,44 +568,19 @@ class Tensor:
                bias: Optional["Tensor"] = None) -> "Tensor":
         """Fused affine map ``self @ weight + bias`` (one graph node).
 
-        Equivalent to ``self @ weight + bias`` but with a single backward
-        closure; the bias is added in place on the freshly allocated matmul
-        output, so the values are identical to the two-node form.
+        Equivalent to ``self @ weight + bias`` but with a single VJP; the
+        bias is added in place on the matmul output, so the values are
+        identical to the two-node form.
         """
-        out = self.data @ weight.data
-        if bias is not None:
-            out += bias.data
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad @ weight.data.T)
-            if weight.requires_grad:
-                weight._accumulate_owned(self.data.T @ grad)
-            if bias is not None and bias.requires_grad:
-                bias._accumulate_owned(grad.sum(axis=0))
-
-        parents = (self, weight) if bias is None else (self, weight, bias)
-        return _record(Tensor._make(out, parents, backward), "linear", parents)
+        if bias is None:
+            return _LINEAR(self, weight)
+        return _LINEAR(self, weight, bias)
 
     # ------------------------------------------------------------------
     # reductions / shaping
     # ------------------------------------------------------------------
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
-        def backward(grad: xp.ndarray) -> None:
-            if not self.requires_grad:
-                return
-            g = xp.asarray(grad)
-            if axis is None:
-                self._accumulate_owned(xp.full(self.shape, float(g),
-                                               dtype=self.data.dtype))
-            else:
-                if not keepdims:
-                    g = xp.expand_dims(g, axis)
-                self._accumulate_owned(xp.broadcast_to(g, self.shape).copy())
-
-        return _record(Tensor._make(self.data.sum(axis=axis, keepdims=keepdims),
-                                    (self,), backward),
-                       "sum", (self,), {"axis": axis, "keepdims": keepdims})
+        return _SUM(self, axis=axis, keepdims=keepdims)
 
     def mean(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -495,99 +590,36 @@ class Tensor:
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
     def reshape(self, *shape: int) -> "Tensor":
-        old_shape = self.shape
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.reshape(old_shape))
-
-        return _record(Tensor._make(self.data.reshape(*shape), (self,),
-                                    backward),
-                       "reshape", (self,), {"shape": shape, "old": old_shape})
+        return _RESHAPE(self, shape=shape)
 
     @property
     def T(self) -> "Tensor":
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad.T)
-
-        return _record(Tensor._make(self.data.T, (self,), backward),
-                       "transpose", (self,))
+        return _TRANSPOSE(self)
 
     def slice_cols(self, start: int, stop: int) -> "Tensor":
         """Columns ``[start:stop)`` of a 2-D tensor (differentiable view)."""
-        start, stop = int(start), int(stop)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                g = xp.zeros_like(self.data)
-                g[:, start:stop] = grad
-                self._accumulate_owned(g)
-
-        return _record(Tensor._make(self.data[:, start:stop], (self,),
-                                    backward),
-                       "slice_cols", (self,), {"start": start, "stop": stop})
+        return _SLICE_COLS(self, start=int(start), stop=int(stop))
 
     # ------------------------------------------------------------------
     # nonlinearities
     # ------------------------------------------------------------------
     def relu(self) -> "Tensor":
-        mask = (self.data > 0).astype(self.data.dtype)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * mask)
-
-        return _record(Tensor._make(self.data * mask, (self,), backward),
-                       "relu", (self,))
+        return _RELU(self)
 
     def leaky_relu(self, slope: float = 0.01) -> "Tensor":
-        mask = xp.where(self.data > 0, 1.0, slope).astype(self.data.dtype)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * mask)
-
-        return _record(Tensor._make(self.data * mask, (self,), backward),
-                       "leaky_relu", (self,), {"slope": slope})
+        return _LEAKY_RELU(self, slope=slope)
 
     def sigmoid(self) -> "Tensor":
-        out_data = 1.0 / (1.0 + xp.exp(-xp.clip(self.data, -60.0, 60.0)))
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * out_data * (1.0 - out_data))
-
-        return _record(Tensor._make(out_data, (self,), backward),
-                       "sigmoid", (self,))
+        return _SIGMOID(self)
 
     def tanh(self) -> "Tensor":
-        out_data = xp.tanh(self.data)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * (1.0 - out_data ** 2))
-
-        return _record(Tensor._make(out_data, (self,), backward),
-                       "tanh", (self,))
+        return _TANH(self)
 
     def exp(self) -> "Tensor":
-        out_data = xp.exp(xp.clip(self.data, -60.0, 60.0))
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad * out_data)
-
-        return _record(Tensor._make(out_data, (self,), backward),
-                       "exp", (self,))
+        return _EXP(self)
 
     def log(self) -> "Tensor":
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(grad / xp.maximum(self.data, 1e-12))
-
-        return _record(Tensor._make(xp.log(xp.maximum(self.data, 1e-12)),
-                                    (self,), backward), "log", (self,))
+        return _LOG(self)
 
     def sub_max(self, axis: Optional[int] = None,
                 keepdims: bool = False) -> "Tensor":
@@ -600,15 +632,7 @@ class Tensor:
         shift into a primitive keeps it replayable on a tape, and is
         bit-for-bit the two-node form (IEEE: ``x + (-m) == x - m``).
         """
-        m = self.data.max(axis=axis, keepdims=keepdims)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(grad)
-
-        return _record(Tensor._make(self.data - m, (self,), backward),
-                       "sub_max", (self,),
-                       {"axis": axis, "keepdims": keepdims})
+        return _SUB_MAX(self, axis=axis, keepdims=keepdims)
 
     # ------------------------------------------------------------------
     # indexing / scatter-gather (the message-passing primitives)
@@ -621,33 +645,14 @@ class Tensor:
         ``index`` (with ``num_segments == len(self)``) used to vectorise the
         scatter in the backward pass.
         """
-        index = xp.asarray(index, dtype=xp.int64)
-        num_rows = self.data.shape[0]
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(_segment_sum_data(grad, index, num_rows,
-                                                         layout))
-
-        return _record(Tensor._make(self.data[index], (self,), backward),
-                       "index_select", (self,),
-                       {"index": index, "layout": layout,
-                        "num_rows": num_rows})
+        return _INDEX_SELECT(self, index=xp.asarray(index, dtype=xp.int64),
+                             layout=layout)
 
     def scatter_add(self, index: xp.ndarray, num_rows: int,
                     layout: Optional[SegmentLayout] = None) -> "Tensor":
         """Scatter rows: ``out[index[i]] += self[i]`` with ``num_rows`` rows."""
-        index = xp.asarray(index, dtype=xp.int64)
-        out_data = _segment_sum_data(self.data, index, int(num_rows), layout)
-
-        def backward(grad: xp.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate_owned(xp.asarray(grad)[index])
-
-        return _record(Tensor._make(out_data, (self,), backward),
-                       "scatter_add", (self,),
-                       {"index": index, "layout": layout,
-                        "num_rows": int(num_rows)})
+        return _SCATTER_ADD(self, index=xp.asarray(index, dtype=xp.int64),
+                            num_rows=int(num_rows), layout=layout)
 
     # ------------------------------------------------------------------
     # backward pass
@@ -658,30 +663,19 @@ class Tensor:
             if self.data.size != 1:
                 raise ValueError("backward() without grad requires a scalar")
             grad = xp.ones_like(self.data)
-        # iterative post-order DFS: same visit order as the recursive
-        # version, but immune to RecursionError on deep graphs (a tensor
-        # whose parents don't require grad heads a dead subgraph — skip it)
-        topo: List[Tensor] = []
-        visited = {id(self)}
-        stack: List[Tuple[Tensor, int]] = [(self, 0)]
-        while stack:
-            node, next_parent = stack[-1]
-            if next_parent < len(node._parents):
-                stack[-1] = (node, next_parent + 1)
-                parent = node._parents[next_parent]
-                if parent.requires_grad and id(parent) not in visited:
-                    visited.add(id(parent))
-                    stack.append((parent, 0))
-            else:
-                topo.append(node)
-                stack.pop()
+        topo = topo_sort(self)
         self._accumulate(xp.asarray(grad, dtype=self.data.dtype))
         # children appear after their parents in `topo`, so the reversed walk
-        # guarantees a node's output gradient is complete before its
-        # _backward distributes it to the parents
+        # guarantees a node's output gradient is complete before its VJP
+        # distributes it to the parents
         for tensor in reversed(topo):
-            if tensor._backward is not None and tensor.grad is not None:
-                tensor._backward(tensor.grad)
+            grad = tensor.grad
+            if grad is None:
+                continue
+            if tensor._prim is not None:
+                tensor._prim.backprop(tensor, grad)
+            elif tensor._backward is not None:
+                tensor._backward(grad)
 
 
 def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
@@ -692,39 +686,304 @@ def as_tensor(value: Union[Tensor, ArrayLike]) -> Tensor:
 
 
 # ----------------------------------------------------------------------
+# the built-in primitives
+# ----------------------------------------------------------------------
+def _pass_grad(lease, g, need, out, saved, x, **attrs):
+    return (g,)
+
+
+def _negate_grad(lease, g, need, out, saved, x, **attrs):
+    return (xp.negative(g, out=lease(g.shape, g.dtype)),)
+
+
+def _add_s(lease, x, c):
+    return xp.add(x, c, out=lease(x.shape, _scalar_dtype(x, c))), None
+
+
+def _add_t(lease, a, b):
+    return xp.add(a, b, out=_out(lease, a, b)), None
+
+
+def _add_t_vjp(lease, g, need, out, saved, a, b):
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None)
+
+
+def _neg(lease, x):
+    return xp.negative(x, out=lease(x.shape, x.dtype)), None
+
+
+def _rsub_s(lease, x, c):
+    return xp.subtract(c, x, out=lease(x.shape, _scalar_dtype(x, c))), None
+
+
+def _mul_s(lease, x, c):
+    return xp.multiply(x, c, out=lease(x.shape, _scalar_dtype(x, c))), None
+
+
+def _mul_s_vjp(lease, g, need, out, saved, x, c):
+    return (xp.multiply(g, c, out=lease(g.shape, _scalar_dtype(g, c))),)
+
+
+def _times(lease, g, y, shape):
+    """``_unbroadcast(g * y, shape)`` with the product in a leased array."""
+    return _unbroadcast(xp.multiply(g, y, out=_out(lease, g, y)), shape)
+
+
+def _mul_t(lease, a, b):
+    return xp.multiply(a, b, out=_out(lease, a, b)), None
+
+
+def _mul_t_vjp(lease, g, need, out, saved, a, b):
+    return (_times(lease, g, b, a.shape) if need[0] else None,
+            _times(lease, g, a, b.shape) if need[1] else None)
+
+
+def _div_s(lease, x, c):
+    return xp.divide(x, c, out=lease(x.shape, _scalar_dtype(x, c))), None
+
+
+def _div_s_vjp(lease, g, need, out, saved, x, c):
+    return (xp.divide(g, c, out=lease(g.shape, _scalar_dtype(g, c))),)
+
+
+def _div_t(lease, a, b):
+    return xp.divide(a, b, out=_out(lease, a, b)), None
+
+
+def _div_t_vjp(lease, g, need, out, saved, a, b):
+    return (_unbroadcast(g / b, a.shape) if need[0] else None,
+            _unbroadcast(-g * a / (b ** 2), b.shape) if need[1] else None)
+
+
+def _pow(lease, x, e):
+    return x ** e, None
+
+
+def _pow_vjp(lease, g, need, out, saved, x, e):
+    return (g * e * x ** (e - 1.0),)
+
+
+def _matmul(lease, a, b):
+    return _mm(lease, a, b), None
+
+
+def _matmul_vjp(lease, g, need, out, saved, a, b):
+    return (_mm(lease, g, b.T) if need[0] else None,
+            _mm(lease, a.T, g) if need[1] else None)
+
+
+def _linear(lease, x, w, b=None):
+    out = _mm(lease, x, w)
+    if b is not None:
+        xp.add(out, b, out=out)
+    return out, None
+
+
+def _linear_vjp(lease, g, need, out, saved, x, w, b=None):
+    grads = (_mm(lease, g, w.T) if need[0] else None,
+             _mm(lease, x.T, g) if need[1] else None)
+    if b is None:
+        return grads
+    return grads + (g.sum(axis=0, out=lease(g.shape[1:], g.dtype))
+                    if need[2] else None,)
+
+
+def _sum(lease, x, axis, keepdims):
+    return x.sum(axis=axis, keepdims=keepdims), None
+
+
+def _sum_vjp(lease, g, need, out, saved, x, axis, keepdims):
+    gx = lease.array(x.shape, x.dtype)
+    if axis is None:
+        gx.fill(float(g))
+    else:
+        xp.copyto(gx, g if keepdims else xp.expand_dims(g, axis))
+    return (gx,)
+
+
+def _reshape(lease, x, shape):
+    return x.reshape(*shape), None
+
+
+def _reshape_vjp(lease, g, need, out, saved, x, shape):
+    return (g.reshape(x.shape),)
+
+
+def _transpose(lease, x):
+    return x.T, None
+
+
+def _transpose_vjp(lease, g, need, out, saved, x):
+    return (g.T,)
+
+
+def _slice_cols(lease, x, start, stop):
+    return x[:, start:stop], None
+
+
+def _slice_cols_vjp(lease, g, need, out, saved, x, start, stop):
+    gx = lease.array(x.shape, x.dtype)
+    gx.fill(0.0)
+    gx[:, start:stop] = g
+    return (gx,)
+
+
+def _masked(lease, x, mask):
+    """``(x * mask, mask)``: forward of the mask-scaled primitives."""
+    return xp.multiply(x, mask, out=_out(lease, x, mask)), mask
+
+
+def _masked_vjp(lease, g, need, out, mask, x, **attrs):
+    return (xp.multiply(g, mask, out=_out(lease, g, mask)),)
+
+
+def _relu(lease, x):
+    return _masked(lease, x, (x > 0).astype(x.dtype))
+
+
+def _leaky_relu(lease, x, slope):
+    return _masked(lease, x, xp.where(x > 0, 1.0, slope).astype(x.dtype))
+
+
+def _dropout(lease, x, rate, rng):
+    # the mask is drawn at every execution (replays included), so the rng
+    # stream advances exactly as in eager mode
+    return _masked(lease, x,
+                   (rng.random(x.shape) >= rate).astype(x.dtype) / (1.0 - rate))
+
+
+def _sigmoid(lease, x):
+    s = xp.clip(x, -60.0, 60.0, out=lease(x.shape, x.dtype))
+    xp.negative(s, out=s)
+    xp.exp(s, out=s)
+    xp.add(s, 1.0, out=s)
+    return xp.divide(1.0, s, out=s), None
+
+
+def _sigmoid_vjp(lease, g, need, out, saved, x):
+    gx = xp.multiply(g, out, out=_out(lease, g, out))
+    one_minus = xp.subtract(1.0, out, out=lease.scratch(out.shape, out.dtype))
+    return (xp.multiply(gx, one_minus, out=gx),)
+
+
+def _tanh(lease, x):
+    return xp.tanh(x, out=lease(x.shape, x.dtype)), None
+
+
+def _tanh_vjp(lease, g, need, out, saved, x):
+    return (g * (1.0 - out ** 2),)
+
+
+def _exp(lease, x):
+    e = xp.clip(x, -60.0, 60.0, out=lease(x.shape, x.dtype))
+    return xp.exp(e, out=e), None
+
+
+def _exp_vjp(lease, g, need, out, saved, x):
+    return (xp.multiply(g, out, out=_out(lease, g, out)),)
+
+
+def _log(lease, x):
+    m = xp.maximum(x, 1e-12, out=lease(x.shape, x.dtype))
+    return xp.log(m, out=m), None
+
+
+def _log_vjp(lease, g, need, out, saved, x):
+    return (g / xp.maximum(x, 1e-12),)
+
+
+def _sub_max(lease, x, axis, keepdims):
+    return xp.subtract(x, x.max(axis=axis, keepdims=keepdims),
+                       out=lease(x.shape, x.dtype)), None
+
+
+def _index_select(lease, x, index, layout):
+    return xp.take(x, index, axis=0,
+                   out=lease(index.shape + x.shape[1:], x.dtype)), None
+
+
+def _index_select_vjp(lease, g, need, out, saved, x, index, layout):
+    return (_segment_sum(lease, g, index, x.shape[0], layout),)
+
+
+def _scatter_add(lease, x, index, num_rows, layout):
+    return _segment_sum(lease, x, index, num_rows, layout), None
+
+
+def _scatter_add_vjp(lease, g, need, out, saved, x, index, num_rows, layout):
+    return (xp.take(g, index, axis=0,
+                    out=lease(index.shape + g.shape[1:], g.dtype)),)
+
+
+def _concat(lease, *xs, axis):
+    return xp.concatenate(xs, axis=axis), None
+
+
+def _concat_vjp(lease, g, need, out, saved, *xs, axis):
+    grads = []
+    start = 0
+    for x, needed in zip(xs, need):
+        stop = start + x.shape[axis]
+        if needed:
+            slicer = [slice(None)] * g.ndim
+            slicer[axis] = slice(start, stop)
+            grads.append(g[tuple(slicer)])
+        else:
+            grads.append(None)
+        start = stop
+    return grads
+
+
+def _stack_rows(lease, *xs):
+    return xp.stack(xs, axis=0), None
+
+
+def _stack_rows_vjp(lease, g, need, out, saved, *xs):
+    return [g[i] if needed else None for i, needed in enumerate(need)]
+
+
+_ADD_S = Primitive("add_s", _add_s, _pass_grad, identity=True)
+_ADD_T = Primitive("add_t", _add_t, _add_t_vjp, identity=True)
+_NEG = Primitive("neg", _neg, _negate_grad)
+_RSUB_S = Primitive("rsub_s", _rsub_s, _negate_grad)
+_MUL_S = Primitive("mul_s", _mul_s, _mul_s_vjp)
+_MUL_T = Primitive("mul_t", _mul_t, _mul_t_vjp)
+_DIV_S = Primitive("div_s", _div_s, _div_s_vjp)
+_DIV_T = Primitive("div_t", _div_t, _div_t_vjp)
+_POW = Primitive("pow", _pow, _pow_vjp)
+_MATMUL = Primitive("matmul", _matmul, _matmul_vjp)
+_LINEAR = Primitive("linear", _linear, _linear_vjp)
+_SUM = Primitive("sum", _sum, _sum_vjp)
+_RESHAPE = Primitive("reshape", _reshape, _reshape_vjp, views=True)
+_TRANSPOSE = Primitive("transpose", _transpose, _transpose_vjp, views=True)
+_SLICE_COLS = Primitive("slice_cols", _slice_cols, _slice_cols_vjp)
+_RELU = Primitive("relu", _relu, _masked_vjp)
+_LEAKY_RELU = Primitive("leaky_relu", _leaky_relu, _masked_vjp)
+_SIGMOID = Primitive("sigmoid", _sigmoid, _sigmoid_vjp)
+_TANH = Primitive("tanh", _tanh, _tanh_vjp)
+_EXP = Primitive("exp", _exp, _exp_vjp)
+_LOG = Primitive("log", _log, _log_vjp)
+_SUB_MAX = Primitive("sub_max", _sub_max, _pass_grad, identity=True)
+_DROPOUT = Primitive("dropout", _dropout, _masked_vjp)
+_INDEX_SELECT = Primitive("index_select", _index_select, _index_select_vjp)
+_SCATTER_ADD = Primitive("scatter_add", _scatter_add, _scatter_add_vjp)
+_CONCAT = Primitive("concat", _concat, _concat_vjp, views=True)
+_STACK_ROWS = Primitive("stack_rows", _stack_rows, _stack_rows_vjp,
+                        views=True)
+
+
+# ----------------------------------------------------------------------
 # free functions
 # ----------------------------------------------------------------------
 def concat(tensors: Sequence[Tensor], axis: int = 1) -> Tensor:
     """Concatenate tensors along ``axis`` (differentiable)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = xp.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = xp.cumsum([0] + sizes)
-
-    def backward(grad: xp.ndarray) -> None:
-        for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                t._accumulate(grad[tuple(slicer)])
-
-    return _record(Tensor._make(data, tuple(tensors), backward),
-                   "concat", tuple(tensors),
-                   {"axis": axis, "offsets": offsets})
+    return _CONCAT(*[as_tensor(t) for t in tensors], axis=axis)
 
 
 def stack_rows(tensors: Sequence[Tensor]) -> Tensor:
     """Stack 1-D tensors into a 2-D tensor (row per input)."""
-    tensors = [as_tensor(t) for t in tensors]
-    data = xp.stack([t.data for t in tensors], axis=0)
-
-    def backward(grad: xp.ndarray) -> None:
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t._accumulate(grad[i])
-
-    return _record(Tensor._make(data, tuple(tensors), backward),
-                   "stack_rows", tuple(tensors))
+    return _STACK_ROWS(*[as_tensor(t) for t in tensors])
 
 
 def segment_sum(x: Tensor, segment_ids: xp.ndarray, num_segments: int,
@@ -759,14 +1018,7 @@ def dropout(x: Tensor, rate: float, rng: xp.Generator,
     """
     if not training or rate <= 0.0:
         return x
-    mask = (rng.random(x.shape) >= rate).astype(x.data.dtype) / (1.0 - rate)
-
-    def backward(grad: xp.ndarray) -> None:
-        if x.requires_grad:
-            x._accumulate_owned(grad * mask)
-
-    return _record(Tensor._make(x.data * mask, (x,), backward),
-                   "dropout", (x,), {"rate": float(rate), "rng": rng})
+    return _DROPOUT(x, rate=rate, rng=rng)
 
 
 def gradcheck(func: Callable[..., Tensor], inputs: Sequence[Tensor],

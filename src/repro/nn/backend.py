@@ -49,10 +49,11 @@ class BackendUnavailable(RuntimeError):
 
 
 #: Namespace entries that are plain attributes (types, dtype constructors,
-#: RNG factories) rather than counted operations.
+#: RNG factories, dtype/shape promotion rules) rather than counted
+#: operations.
 _ATTRS = (
     "ndarray", "dtype", "float32", "float64", "int64", "bool_",
-    "integer", "floating", "Generator",
+    "integer", "floating", "Generator", "result_type", "broadcast_shapes",
 )
 
 #: Explicit array constructors: the ``checked`` backend counts these as

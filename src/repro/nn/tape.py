@@ -1,92 +1,76 @@
 """Autograd tape capture + replay for fixed-shape training steps.
 
 The define-by-run engine in :mod:`repro.nn.autograd` rebuilds the backward
-graph — one :class:`~repro.nn.autograd.Tensor`, one closure, one DFS visit
-per op — on *every* training step, even though the MGA training loop runs
-the identical (shape, dtype) graph thousands of times once batch partitions
+graph — one :class:`~repro.nn.autograd.Tensor` and one DFS visit per op —
+on *every* training step, even though the MGA training loop runs the
+identical (shape, dtype) graph thousands of times once batch partitions
 are frozen.  This module records that graph once and compiles it into a
-:class:`TapePlan`: a flat list of zero-arg forward thunks plus a flat list
-of VJP thunks in the exact reverse-topological order eager execution uses,
+:class:`TapePlan`: a flat list of forward thunks plus a flat list of VJP
+thunks in the exact reverse-topological order eager execution uses,
 dispatched with zero per-node Python graph construction.
 
-Bit-for-bit equivalence with eager mode is the design constraint, not an
-afterthought:
+Replay does not re-implement any operation.  A thunk calls the very
+forward or VJP function of the recorded
+:class:`~repro.nn.autograd.Primitive`, passing a lease bound to pooled
+buffers instead of the eager lease that allocates fresh arrays; numpy's
+``out=`` variants compute the same values as the allocating forms, so
+replay is bit-identical to eager by construction.  The rest of the
+equivalence is scheduling:
 
-* the recording step *is* a normal eager step — recording only appends
-  (op, parents, attrs) descriptors;
-* every replay thunk mirrors its eager closure's numpy expression exactly
-  (same ufuncs, same operand order, same temporaries), relying only on
-  identities numpy guarantees (``out=`` variants of a ufunc compute the
-  same values; ``x @ y`` and ``xp.matmul(x, y, out=...)`` agree);
-* the backward thunk order replicates the eager iterative DFS post-order
-  over the same graph, and within one node the per-parent contribution
-  order replicates the closure body, so gradient accumulation — float
-  addition is commutative but not associative — happens in the same order;
+* the recording step *is* a normal eager step — recording only notes which
+  tensors were produced, in order;
+* the backward thunk order is the eager post-order DFS
+  (:func:`~repro.nn.autograd.topo_sort`) and each thunk hands its
+  contributions to the parents in parent order, so gradient accumulation —
+  float addition is commutative but not associative — happens in the same
+  order as :meth:`Tensor.backward`;
 * data-dependent values inside a step (dropout masks, softmax max-shifts)
-  are traced primitives whose thunks recompute them from fresh activations
-  (and the *captured rng object*, keeping the random stream aligned).
+  are recomputed by the forward functions from fresh activations (and the
+  *captured rng object*, keeping the random stream aligned).
 
 Gradients for graph leaves (parameters and any ``requires_grad`` inputs)
 land in preallocated arena buffers owned by the :class:`TapeRunner` and
 shared by every plan, so ``id(p.grad)`` is stable across replayed steps and
-no per-step ``xp.zeros`` is paid: the first contribution to a buffer is a
-"set" (``out=`` or ``copyto``), later ones are in-place ``+=``.  Adjacent
-identity-VJP nodes (scalar adds, max-shifts) are fused away entirely: when
-such a node's parent receives no other contribution, the parent's gradient
-slot aliases the child's and no thunk is emitted.
+no per-step ``xp.zeros`` is paid: the first contribution to a buffer is
+copied in, later ones are added in place.  Identity-VJP edges (scalar
+adds, max-shifts) are fused away entirely: when such a node's parent
+receives no other contribution, the parent's gradient slot aliases the
+child's and nothing is copied.
 
 Plans carry guards — the global config epoch (bumped by every actual
 change made through ``repro.nn.runtime.configure``), leaf array identity, and
 an optional caller fingerprint — and fall back to eager re-recording when
-any of them fails.  A graph containing an op the compiler does not know
-raises :class:`TapeUnsupported`, permanently pinning that step key to the
-eager path.
+any of them fails.  A graph containing a node built with a hand-written
+backward closure (:meth:`Tensor._make`) raises :class:`TapeUnsupported`,
+permanently pinning that step key to the eager path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.nn import autograd
-from repro.nn.autograd import (
-    SegmentLayout,
-    Tensor,
-    _segment_sum_data,
-    _unbroadcast,
-)
+from repro.nn.autograd import Tensor, topo_sort
 from repro.nn.backend import xp
 
 
 class TapeUnsupported(RuntimeError):
-    """The recorded graph contains an op the tape compiler cannot replay."""
-
-
-class _Rec:
-    """One recorded op application."""
-
-    __slots__ = ("op", "out", "parents", "attrs")
-
-    def __init__(self, op: str, out: Tensor, parents: Tuple[Tensor, ...],
-                 attrs: Optional[dict]):
-        self.op = op
-        self.out = out
-        self.parents = parents
-        self.attrs = attrs or {}
+    """The recorded graph contains a node the tape cannot replay."""
 
 
 class Tape:
-    """Recorder attached to the autograd trace hook."""
+    """Recorder attached to the autograd trace hook: the primitive outputs
+    of one step, in execution order."""
 
     def __init__(self) -> None:
-        self.records: List[_Rec] = []
-        self.by_id: Dict[int, _Rec] = {}
+        self.records: List[Tensor] = []
+        self.ids: set = set()
 
-    def record(self, op: str, out: Tensor, parents: Tuple[Tensor, ...],
-               attrs: Optional[dict]) -> None:
-        rec = _Rec(op, out, parents, attrs)
-        self.records.append(rec)
-        self.by_id[id(out)] = rec
+    def record(self, out: Tensor) -> None:
+        self.records.append(out)
+        self.ids.add(id(out))
 
     @contextlib.contextmanager
     def recording(self) -> Iterator["Tape"]:
@@ -99,50 +83,16 @@ class Tape:
             autograd._TRACE = None
 
 
-# ----------------------------------------------------------------------
-# op registry
-# ----------------------------------------------------------------------
-#: op -> forward emitter: ``fwd(rec, ctx) -> thunk | None``
-_FWD: Dict[str, Callable] = {}
-#: op -> backward emitter:
-#: ``bwd(rec, ctx) -> (pre_thunk | None, [(parent, kind, value_fn, set_into)])``
-#: where ``kind`` is "id" (contribution is exactly the child grad, alias
-#: eligible), "view" (aliases the child grad / vals — copy on set) or
-#: "owned" (freshly allocated array).  ``set_into(buf)``, when given, writes
-#: the set-mode contribution directly into an arena buffer.
-_BWD: Dict[str, Callable] = {}
-
-
-def register_op(name: str, fwd: Callable, bwd: Callable) -> None:
-    """Register replay emitters for a custom traced primitive.
-
-    Used by modules that define hand-derived single-node ops (the fused GRU
-    cell and the mean aggregator in :mod:`repro.gnn.conv`).
-    """
-    _FWD[name] = fwd
-    _BWD[name] = bwd
-
-
-def _op(name):
-    def deco(pair_fn):
-        fwd, bwd = pair_fn()
-        register_op(name, fwd, bwd)
-        return pair_fn
-    return deco
-
-
 class _Ctx:
-    """Compile-time context handed to emitters."""
+    """Compile-time state: value/gradient slots and the buffer pool."""
 
-    __slots__ = ("vals", "gv", "_slots", "_gslot", "_cells", "_pool",
-                 "_cursor")
+    __slots__ = ("vals", "gv", "_slots", "_gslot", "_pool", "_cursor")
 
     def __init__(self, pool: Optional[Dict] = None) -> None:
         self.vals: List[Optional[xp.ndarray]] = []
         self.gv: List[Optional[xp.ndarray]] = []
         self._slots: Dict[int, int] = {}
         self._gslot: Dict[int, int] = {}
-        self._cells: Dict[int, dict] = {}
         self._pool: Dict = pool if pool is not None else {}
         self._cursor: Dict = {}
 
@@ -153,17 +103,6 @@ class _Ctx:
             self._slots[id(t)] = s
             self.vals.append(t.data)
         return s
-
-    def g(self, t: Tensor) -> int:
-        """Resolved grad slot of ``t`` (set up by the compiler)."""
-        return self._gslot[id(t)]
-
-    def cell(self, rec: _Rec) -> dict:
-        """Per-record scratch dict shared by a record's fwd/bwd thunks."""
-        c = self._cells.get(id(rec))
-        if c is None:
-            c = self._cells[id(rec)] = {}
-        return c
 
     def buf(self, shape, dtype) -> xp.ndarray:
         """Step-scratch array leased from the runner-wide buffer pool.
@@ -185,23 +124,16 @@ class _Ctx:
             slot.append(xp.empty(key[0], dtype=xp.dtype(dtype)))
         return slot[i]
 
-    def obuf(self, rec: _Rec) -> xp.ndarray:
-        """Forward output buffer matching the recorded output (pooled)."""
-        return self.buf(rec.out.data.shape, rec.out.data.dtype)
-
     def scratch(self, shape, dtype, i: int = 0) -> xp.ndarray:
-        """Thunk-local scratch: freely aliased ACROSS thunks and plans.
+        """Call-local scratch: freely aliased ACROSS thunks and plans.
 
-        Unlike :meth:`buf` there is no occurrence cursor — every thunk that
-        asks for the same (shape, dtype, i) gets the *same* array, so the
-        hot footprint stays one thunk's worth of temporaries no matter how
-        many nodes or plans exist (mimicking malloc's recycling of freshly
-        freed blocks, without the allocator round-trips).  Only valid for
-        values whose lifetime ends with the thunk (or, for a backward
-        emitter, with that node's contiguous pre+specs block); anything
-        stored into ``vals``/``gv`` or read by a *different* node's thunk
-        must use :meth:`buf`.  Distinguish concurrent uses within one thunk
-        via ``i``.
+        Unlike :meth:`buf` there is no occurrence cursor — every request
+        for the same (shape, dtype, i) gets the *same* array, so the hot
+        footprint stays one call's worth of temporaries no matter how many
+        nodes or plans exist (mimicking malloc's recycling of freshly freed
+        blocks, without the allocator round-trips).  Only valid for values
+        whose lifetime ends with the forward or VJP call that leased them;
+        distinguish concurrent uses within one call via ``i``.
         """
         key = (tuple(shape), xp.dtype(dtype).str, i)
         buf = self._pool.get(key)
@@ -210,679 +142,48 @@ class _Ctx:
         return buf
 
 
-# ---- forward/backward emitters for the built-in autograd ops ----------
+class _Lease:
+    """The lease one replay thunk passes to its forward or VJP function.
 
-@_op("add_s")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        c, buf = rec.attrs["c"], ctx.obuf(rec)
-
-        def run():
-            xp.add(vals[x], c, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        return None, [(rec.parents[0], "id", None, None)]
-    return fwd, bwd
-
-
-@_op("add_t")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        a, b = ctx.vslot(rec.parents[0]), ctx.vslot(rec.parents[1])
-        o, buf = ctx.vslot(rec.out), ctx.obuf(rec)
-
-        def run():
-            xp.add(vals[a], vals[b], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        out_shape = rec.out.shape
-        specs = []
-        for p in rec.parents:
-            if not p.requires_grad:
-                continue
-            if p.shape == out_shape:
-                specs.append((p, "id", None, None))
-            else:
-                shape = p.shape
-                specs.append((p, "owned",
-                              (lambda shape=shape:
-                               _unbroadcast(gv[gs], shape)), None))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("neg")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        buf = ctx.obuf(rec)
-
-        def run():
-            xp.negative(vals[x], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        return None, [(rec.parents[0], "owned", lambda: -gv[gs],
-                       lambda buf: xp.negative(gv[gs], out=buf))]
-    return fwd, bwd
-
-
-@_op("rsub_s")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        c, buf = rec.attrs["c"], ctx.obuf(rec)
-
-        def run():
-            xp.subtract(c, vals[x], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        return None, [(rec.parents[0], "owned", lambda: -gv[gs],
-                       lambda buf: xp.negative(gv[gs], out=buf))]
-    return fwd, bwd
-
-
-@_op("mul_s")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        c, buf = rec.attrs["c"], ctx.obuf(rec)
-
-        def run():
-            xp.multiply(vals[x], c, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, c = ctx.gv, ctx.g(rec.out), rec.attrs["c"]
-        return None, [(rec.parents[0], "owned", lambda: gv[gs] * c,
-                       lambda buf: xp.multiply(gv[gs], c, out=buf))]
-    return fwd, bwd
-
-
-@_op("mul_t")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        a, b = ctx.vslot(rec.parents[0]), ctx.vslot(rec.parents[1])
-        o, buf = ctx.vslot(rec.out), ctx.obuf(rec)
-
-        def run():
-            xp.multiply(vals[a], vals[b], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        out_shape = rec.out.shape
-        specs = []
-        pa, pb = rec.parents
-        for p, other in ((pa, pb), (pb, pa)):
-            if not p.requires_grad:
-                continue
-            ov, shape = ctx.vslot(other), p.shape
-            if shape == out_shape:
-                specs.append((p, "owned",
-                              (lambda ov=ov: gv[gs] * vals[ov]),
-                              (lambda buf, ov=ov:
-                               xp.multiply(gv[gs], vals[ov], out=buf))))
-            else:
-                specs.append((p, "owned",
-                              (lambda ov=ov, shape=shape:
-                               _unbroadcast(gv[gs] * vals[ov], shape)), None))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("div_s")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        c, buf = rec.attrs["c"], ctx.obuf(rec)
-
-        def run():
-            xp.divide(vals[x], c, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, c = ctx.gv, ctx.g(rec.out), rec.attrs["c"]
-        return None, [(rec.parents[0], "owned", lambda: gv[gs] / c,
-                       lambda buf: xp.divide(gv[gs], c, out=buf))]
-    return fwd, bwd
-
-
-@_op("div_t")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        a, b = ctx.vslot(rec.parents[0]), ctx.vslot(rec.parents[1])
-        o, buf = ctx.vslot(rec.out), ctx.obuf(rec)
-
-        def run():
-            xp.divide(vals[a], vals[b], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        pa, pb = rec.parents
-        a, b = ctx.vslot(pa), ctx.vslot(pb)
-        specs = []
-        if pa.requires_grad:
-            specs.append((pa, "owned",
-                          (lambda shape=pa.shape:
-                           _unbroadcast(gv[gs] / vals[b], shape)),
-                          None))
-        if pb.requires_grad:
-            specs.append((pb, "owned",
-                          (lambda shape=pb.shape: _unbroadcast(
-                              -gv[gs] * vals[a] / (vals[b] ** 2), shape)),
-                          None))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("pow")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        e = rec.attrs["e"]
-
-        def run():
-            vals[o] = vals[x] ** e
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        x, e = ctx.vslot(rec.parents[0]), rec.attrs["e"]
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * e * vals[x] ** (e - 1.0), None)]
-    return fwd, bwd
-
-
-def _leased_matmul(ctx, parent, a_of, b_of):
-    """``(value_fn, set_into)`` computing ``a @ b`` without allocating.
-
-    ``set_into`` serves the leaf-arena first write; ``value_fn`` (non-leaf
-    assigns and ``+=`` accumulations) writes into a step lease, which is
-    safe to hand to ``gv`` because every lease is distinct within a plan
-    and nothing pooled outlives its step.
+    Requests are served from :meth:`_Ctx.buf` / :meth:`_Ctx.scratch` the
+    first time and bound by call order, so every later replay of the thunk
+    hands out the same arrays without touching the pool.
     """
-    out_buf = ctx.buf(parent.data.shape, parent.data.dtype)
 
-    def value():
-        xp.matmul(a_of(), b_of(), out=out_buf)
-        return out_buf
-    return value, lambda buf: xp.matmul(a_of(), b_of(), out=buf)
-
-
-@_op("matmul")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        a, b = ctx.vslot(rec.parents[0]), ctx.vslot(rec.parents[1])
-        o, buf = ctx.vslot(rec.out), ctx.obuf(rec)
-
-        def run():
-            xp.matmul(vals[a], vals[b], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        pa, pb = rec.parents
-        a, b = ctx.vslot(pa), ctx.vslot(pb)
-        specs = []
-        if pa.requires_grad:
-            specs.append((pa, "owned") + _leased_matmul(
-                ctx, pa, lambda: gv[gs], lambda: vals[b].T))
-        if pb.requires_grad:
-            specs.append((pb, "owned") + _leased_matmul(
-                ctx, pb, lambda: vals[a].T, lambda: gv[gs]))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("linear")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        x, w = ctx.vslot(rec.parents[0]), ctx.vslot(rec.parents[1])
-        bi = ctx.vslot(rec.parents[2]) if len(rec.parents) == 3 else None
-        o, buf = ctx.vslot(rec.out), ctx.obuf(rec)
-
-        if bi is None:
-            def run():
-                xp.matmul(vals[x], vals[w], out=buf)
-                vals[o] = buf
-        else:
-            def run():
-                xp.matmul(vals[x], vals[w], out=buf)
-                xp.add(buf, vals[bi], out=buf)  # == eager's in-place `+=`
-                vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        px, pw = rec.parents[0], rec.parents[1]
-        x, w = ctx.vslot(px), ctx.vslot(pw)
-        specs = []
-        if px.requires_grad:
-            specs.append((px, "owned") + _leased_matmul(
-                ctx, px, lambda: gv[gs], lambda: vals[w].T))
-        if pw.requires_grad:
-            specs.append((pw, "owned") + _leased_matmul(
-                ctx, pw, lambda: vals[x].T, lambda: gv[gs]))
-        if len(rec.parents) == 3 and rec.parents[2].requires_grad:
-            pb = rec.parents[2]
-            db_buf = ctx.buf(pb.data.shape, pb.data.dtype)
-
-            def db_value():
-                xp.sum(gv[gs], axis=0, out=db_buf)
-                return db_buf
-            specs.append((pb, "owned", db_value,
-                          lambda buf: xp.sum(gv[gs], axis=0, out=buf)))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("sum")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        axis, keepdims = rec.attrs["axis"], rec.attrs["keepdims"]
-
-        def run():
-            vals[o] = vals[x].sum(axis=axis, keepdims=keepdims)
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        p = rec.parents[0]
-        axis, keepdims = rec.attrs["axis"], rec.attrs["keepdims"]
-        shape, dtype = p.shape, p.data.dtype
-        # the broadcast-up gradient goes into a pooled step buffer either
-        # way (fill == np.full's fill; copyto broadcasts == broadcast_to +
-        # copy), so steady-state replay allocates nothing here
-        buf = ctx.buf(shape, dtype)
-        if axis is None:
-            def value():
-                buf.fill(float(gv[gs]))
-                return buf
-            return None, [(p, "owned", value,
-                           lambda target: target.fill(float(gv[gs])))]
-
-        def expanded():
-            g = gv[gs]
-            if not keepdims:
-                g = xp.expand_dims(g, axis)
-            return g
-
-        def value():
-            xp.copyto(buf, expanded())
-            return buf
-        return None, [(p, "owned", value,
-                       lambda target: xp.copyto(target, expanded()))]
-    return fwd, bwd
-
-
-@_op("reshape")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        shape = rec.attrs["shape"]
-
-        def run():
-            vals[o] = vals[x].reshape(*shape)
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, old = ctx.gv, ctx.g(rec.out), rec.attrs["old"]
-        return None, [(rec.parents[0], "view",
-                       lambda: gv[gs].reshape(old), None)]
-    return fwd, bwd
-
-
-@_op("transpose")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-
-        def run():
-            vals[o] = vals[x].T
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        return None, [(rec.parents[0], "view", lambda: gv[gs].T, None)]
-    return fwd, bwd
-
-
-@_op("slice_cols")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        start, stop = rec.attrs["start"], rec.attrs["stop"]
-
-        def run():
-            vals[o] = vals[x][:, start:stop]
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        p = rec.parents[0]
-        start, stop = rec.attrs["start"], rec.attrs["stop"]
-        shape, dtype = p.shape, p.data.dtype
-
-        def value():
-            g = xp.zeros(shape, dtype=dtype)
-            g[:, start:stop] = gv[gs]
-            return g
-
-        def set_into(buf):
-            buf.fill(0.0)
-            buf[:, start:stop] = gv[gs]
-        return None, [(p, "owned", value, set_into)]
-    return fwd, bwd
-
-
-@_op("relu")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        buf, cell = ctx.obuf(rec), ctx.cell(rec)
-
-        def run():
-            mask = (vals[x] > 0).astype(buf.dtype)
-            cell["mask"] = mask
-            xp.multiply(vals[x], mask, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, cell = ctx.gv, ctx.g(rec.out), ctx.cell(rec)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * cell["mask"],
-                       lambda buf: xp.multiply(gv[gs], cell["mask"],
-                                               out=buf))]
-    return fwd, bwd
-
-
-@_op("leaky_relu")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        slope, buf, cell = rec.attrs["slope"], ctx.obuf(rec), ctx.cell(rec)
-
-        def run():
-            mask = xp.where(vals[x] > 0, 1.0, slope).astype(buf.dtype)
-            cell["mask"] = mask
-            xp.multiply(vals[x], mask, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, cell = ctx.gv, ctx.g(rec.out), ctx.cell(rec)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * cell["mask"],
-                       lambda buf: xp.multiply(gv[gs], cell["mask"],
-                                               out=buf))]
-    return fwd, bwd
-
-
-@_op("sigmoid")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-
-        def run():
-            vals[o] = 1.0 / (1.0 + xp.exp(-xp.clip(vals[x], -60.0, 60.0)))
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        o = ctx.vslot(rec.out)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * vals[o] * (1.0 - vals[o]), None)]
-    return fwd, bwd
-
-
-@_op("tanh")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        buf = ctx.obuf(rec)
-
-        def run():
-            xp.tanh(vals[x], out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        o = ctx.vslot(rec.out)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * (1.0 - vals[o] ** 2), None)]
-    return fwd, bwd
-
-
-@_op("exp")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-
-        def run():
-            vals[o] = xp.exp(xp.clip(vals[x], -60.0, 60.0))
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        o = ctx.vslot(rec.out)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * vals[o],
-                       lambda buf: xp.multiply(gv[gs], vals[o], out=buf))]
-    return fwd, bwd
-
-
-@_op("log")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-
-        def run():
-            vals[o] = xp.log(xp.maximum(vals[x], 1e-12))
-        return run
-
-    def bwd(rec, ctx):
-        gv, vals, gs = ctx.gv, ctx.vals, ctx.g(rec.out)
-        x = ctx.vslot(rec.parents[0])
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] / xp.maximum(vals[x], 1e-12), None)]
-    return fwd, bwd
-
-
-@_op("sub_max")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        axis, keepdims = rec.attrs["axis"], rec.attrs["keepdims"]
-        buf = ctx.obuf(rec)
-
-        def run():
-            m = vals[x].max(axis=axis, keepdims=keepdims)
-            xp.subtract(vals[x], m, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        return None, [(rec.parents[0], "id", None, None)]
-    return fwd, bwd
-
-
-@_op("dropout")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        rate, rng = rec.attrs["rate"], rec.attrs["rng"]
-        shape, buf, cell = rec.parents[0].shape, ctx.obuf(rec), ctx.cell(rec)
-
-        def run():
-            mask = (rng.random(shape) >= rate).astype(buf.dtype) / (1.0 - rate)
-            cell["mask"] = mask
-            xp.multiply(vals[x], mask, out=buf)
-            vals[o] = buf
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs, cell = ctx.gv, ctx.g(rec.out), ctx.cell(rec)
-        return None, [(rec.parents[0], "owned",
-                       lambda: gv[gs] * cell["mask"],
-                       lambda buf: xp.multiply(gv[gs], cell["mask"],
-                                               out=buf))]
-    return fwd, bwd
-
-
-@_op("index_select")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        index = rec.attrs["index"]
-
-        def run():
-            vals[o] = vals[x][index]
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        index = rec.attrs["index"]
-        layout: Optional[SegmentLayout] = rec.attrs["layout"]
-        num_rows = rec.attrs["num_rows"]
-
-        def value():
-            return _segment_sum_data(gv[gs], index, num_rows, layout)
-
-        def set_into(buf):
-            buf.fill(0.0)
-            if index.size == 0:
-                return
-            if autograd._FAST_SEGMENT_OPS:
-                lay = layout if layout is not None \
-                    else SegmentLayout(index, num_rows)
-                if lay.starts.size:
-                    buf[lay.segments] = xp.add_reduceat(
-                        gv[gs][lay.order], lay.starts, axis=0)
-                return
-            xp.add_at(buf, index, gv[gs])
-        return None, [(rec.parents[0], "owned", value, set_into)]
-    return fwd, bwd
-
-
-@_op("scatter_add")
-def _():
-    def fwd(rec, ctx):
-        vals, x, o = ctx.vals, ctx.vslot(rec.parents[0]), ctx.vslot(rec.out)
-        index = rec.attrs["index"]
-        layout, num_rows = rec.attrs["layout"], rec.attrs["num_rows"]
-
-        def run():
-            vals[o] = _segment_sum_data(vals[x], index, num_rows, layout)
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        index = rec.attrs["index"]
-        return None, [(rec.parents[0], "owned", lambda: gv[gs][index], None)]
-    return fwd, bwd
-
-
-@_op("concat")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        slots = [ctx.vslot(p) for p in rec.parents]
-        o, axis = ctx.vslot(rec.out), rec.attrs["axis"]
-
-        def run():
-            vals[o] = xp.concatenate([vals[s] for s in slots], axis=axis)
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        axis, offsets = rec.attrs["axis"], rec.attrs["offsets"]
-        ndim = rec.out.ndim
-        specs = []
-        for p, start, stop in zip(rec.parents, offsets[:-1], offsets[1:]):
-            if not p.requires_grad:
-                continue
-            slicer = [slice(None)] * ndim
-            slicer[axis] = slice(start, stop)
-            slicer = tuple(slicer)
-            specs.append((p, "view",
-                          (lambda slicer=slicer: gv[gs][slicer]), None))
-        return None, specs
-    return fwd, bwd
-
-
-@_op("stack_rows")
-def _():
-    def fwd(rec, ctx):
-        vals = ctx.vals
-        slots = [ctx.vslot(p) for p in rec.parents]
-        o = ctx.vslot(rec.out)
-
-        def run():
-            vals[o] = xp.stack([vals[s] for s in slots], axis=0)
-        return run
-
-    def bwd(rec, ctx):
-        gv, gs = ctx.gv, ctx.g(rec.out)
-        specs = []
-        for i, p in enumerate(rec.parents):
-            if not p.requires_grad:
-                continue
-            specs.append((p, "view", (lambda i=i: gv[gs][i]), None))
-        return None, specs
-    return fwd, bwd
-
-
-# ----------------------------------------------------------------------
-# compilation
-# ----------------------------------------------------------------------
-def _eager_topo(loss: Tensor) -> List[Tensor]:
-    """Exactly the post-order DFS :meth:`Tensor.backward` uses."""
-    topo: List[Tensor] = []
-    visited = {id(loss)}
-    stack: List[Tuple[Tensor, int]] = [(loss, 0)]
-    while stack:
-        node, next_parent = stack[-1]
-        if next_parent < len(node._parents):
-            stack[-1] = (node, next_parent + 1)
-            parent = node._parents[next_parent]
-            if parent.requires_grad and id(parent) not in visited:
-                visited.add(id(parent))
-                stack.append((parent, 0))
-        else:
-            topo.append(node)
-            stack.pop()
-    return topo
+    __slots__ = ("ctx", "bound", "i")
+
+    def __init__(self, ctx: _Ctx) -> None:
+        self.ctx = ctx
+        self.bound: List[xp.ndarray] = []
+        self.i = 0
+
+    def __call__(self, shape, dtype) -> xp.ndarray:
+        i = self.i
+        self.i = i + 1
+        if i == len(self.bound):
+            self.bound.append(self.ctx.buf(shape, dtype))
+        return self.bound[i]
+
+    def scratch(self, shape, dtype, i: int = 0) -> xp.ndarray:
+        k = self.i
+        self.i = k + 1
+        if k == len(self.bound):
+            self.bound.append(self.ctx.scratch(shape, dtype, i))
+        return self.bound[k]
+
+    def array(self, shape, dtype, i: Optional[int] = None) -> xp.ndarray:
+        if i is None:
+            return self(shape, dtype)
+        return self.scratch(shape, dtype, i)
+
+
+def _is_leaf(t: Tensor) -> bool:
+    return t._prim is None and t._backward is None
 
 
 def graph_leaves(loss: Tensor) -> List[Tensor]:
-    """``requires_grad`` leaves (no backward closure) reachable from ``loss``."""
-    return [t for t in _eager_topo(loss) if t._backward is None]
+    """``requires_grad`` leaves (no producing op) reachable from ``loss``."""
+    return [t for t in topo_sort(loss) if _is_leaf(t)]
 
 
 class TapePlan:
@@ -916,6 +217,46 @@ class TapePlan:
         return True
 
 
+def _forward_thunk(node: Tensor, ctx: _Ctx, saved: List) -> Callable[[], None]:
+    """Rerun ``node``'s forward function into the plan's leased buffers."""
+    fwd, attrs, vals, lease = node._prim.fwd, node._attrs, ctx.vals, _Lease(ctx)
+    ins = [ctx.vslot(p) for p in node._parents]
+    o = ctx.vslot(node)
+
+    def run():
+        lease.i = 0
+        vals[o], saved[o] = fwd(lease, *[vals[s] for s in ins], **attrs)
+    return run
+
+
+def _backward_thunk(node: Tensor, ctx: _Ctx, saved: List,
+                    sinks: List[Optional[Callable]]) -> Callable[[], None]:
+    """Rerun ``node``'s VJP and hand each contribution to its sink."""
+    vjp, attrs, vals, gv = node._prim.vjp, node._attrs, ctx.vals, ctx.gv
+    lease = _Lease(ctx)
+    need = tuple(p.requires_grad for p in node._parents)
+    ins = [ctx.vslot(p) for p in node._parents]
+    o, gs = ctx.vslot(node), ctx._gslot[id(node)]
+
+    def run():
+        lease.i = 0
+        grads = vjp(lease, gv[gs], need, vals[o], saved[o],
+                    *[vals[s] for s in ins], **attrs)
+        for sink, g in zip(sinks, grads):
+            if sink is not None:
+                sink(g)
+    return run
+
+
+def _copy_to_slot(gv: List, slot: int, buf: xp.ndarray) -> Callable:
+    """First write of a contribution that aliases another array: eager
+    ``_accumulate`` copies it, replay copies it into a leased buffer."""
+    def sink(g):
+        xp.copyto(buf, g)
+        gv[slot] = buf
+    return sink
+
+
 def compile_plan(tape: Tape, loss: Tensor, arena: Dict[int, xp.ndarray],
                  arena_refs: Dict[int, Tensor],
                  wrt: Sequence[Tensor] = (),
@@ -929,51 +270,41 @@ def compile_plan(tape: Tape, loss: Tensor, arena: Dict[int, xp.ndarray],
     """
     if loss.data.size != 1:
         raise TapeUnsupported("tape loss must be scalar")
-    by_id = tape.by_id
-    topo = _eager_topo(loss)
-    if id(loss) not in by_id:
+    topo = topo_sort(loss)
+    if id(loss) not in tape.ids:
         raise TapeUnsupported("loss tensor was not produced under recording")
-
-    ctx = _Ctx(pool)
-    recs: List[Optional[_Rec]] = []
     for node in topo:
-        if node._backward is None:
-            recs.append(None)  # leaf
-            continue
-        rec = by_id.get(id(node))
-        if rec is None:
-            raise TapeUnsupported("untraced op in graph (requires_grad "
-                                  "tensor with an unknown backward closure)")
-        if rec.op not in _BWD:
-            raise TapeUnsupported(f"no tape emitter for op {rec.op!r}")
-        recs.append(rec)
+        if node._prim is None:
+            if node._backward is not None:
+                raise TapeUnsupported("untraced op in graph (requires_grad "
+                                      "tensor with a backward closure)")
+        elif id(node) not in tape.ids:
+            raise TapeUnsupported("graph node computed outside the "
+                                  "recording")
+    ops = [node for node in topo if node._prim is not None]
 
-    # value slots for every node and every recorded parent (constants)
-    for node, rec in zip(topo, recs):
+    # value slots for every node and every parent (constants included)
+    ctx = _Ctx(pool)
+    for node in topo:
         ctx.vslot(node)
-        if rec is not None:
-            for p in rec.parents:
-                ctx.vslot(p)
+    for node in ops:
+        for p in node._parents:
+            ctx.vslot(p)
 
     # ---- contribution counting + identity-alias fusion -----------------
     counts: Dict[int, int] = {}
-    ident_from: Dict[int, _Rec] = {}
-    for node, rec in zip(reversed(topo), reversed(recs)):
-        if rec is None:
-            continue
-        op, out_shape = rec.op, rec.out.shape
-        for p in rec.parents:
+    ident_from: Dict[int, Tensor] = {}
+    for node in reversed(ops):
+        for p in node._parents:
             if not p.requires_grad:
                 continue
             counts[id(p)] = counts.get(id(p), 0) + 1
-            if op in ("add_s", "sub_max") or \
-                    (op == "add_t" and p.shape == out_shape):
-                ident_from[id(p)] = rec
+            if node._prim.identity and p.shape == node.shape:
+                ident_from[id(p)] = node
     aliased: Dict[int, Tensor] = {}
-    for node, rec in zip(topo, recs):
-        if rec is not None and counts.get(id(node)) == 1 \
-                and id(node) in ident_from:
-            aliased[id(node)] = ident_from[id(node)].out
+    for node in ops:
+        if counts.get(id(node)) == 1 and id(node) in ident_from:
+            aliased[id(node)] = ident_from[id(node)]
 
     # resolved grad slot per topo node (leaves get their slot too; their
     # gv entry is the arena buffer)
@@ -991,8 +322,8 @@ def compile_plan(tape: Tape, loss: Tensor, arena: Dict[int, xp.ndarray],
     leaf_assigns: List[Tuple[Tensor, xp.ndarray]] = []
     leaf_guards: List[Tuple[Tensor, int]] = []
     leaf_slots: Dict[int, xp.ndarray] = {}
-    for node, rec in zip(topo, recs):
-        if rec is not None:
+    for node in topo:
+        if node._prim is not None:
             continue
         buf = arena.get(id(node))
         if buf is None or buf.shape != node.data.shape \
@@ -1007,57 +338,39 @@ def compile_plan(tape: Tape, loss: Tensor, arena: Dict[int, xp.ndarray],
         leaf_guards.append((node, slot))
 
     # ---- forward schedule (recorded execution order, needed nodes only)
-    needed = {id(n) for n, r in zip(topo, recs) if r is not None}
-    fwd: List[Callable[[], None]] = []
-    for rec in tape.records:
-        if id(rec.out) in needed:
-            fwd.append(_FWD[rec.op](rec, ctx))
+    saved: List = [None] * len(ctx.vals)
+    needed = {id(n) for n in ops}
+    fwd = [_forward_thunk(out, ctx, saved) for out in tape.records
+           if id(out) in needed]
 
     # ---- backward schedule --------------------------------------------
     gv = ctx.gv
     loss_slot = ctx.vslot(loss)
     seed = xp.ones_like(loss.data)
-    bwd: List[Callable[[], None]] = []
-    bwd.append(lambda: gv.__setitem__(loss_slot, seed))
+    bwd: List[Callable[[], None]] = [lambda: gv.__setitem__(loss_slot, seed)]
     written = {loss_slot}
-    for node, rec in zip(reversed(topo), reversed(recs)):
-        if rec is None:
-            continue
-        pre, specs = _BWD[rec.op](rec, ctx)
-        if pre is not None:
-            bwd.append(pre)
-        gs = ctx._gslot[id(node)]
-        for parent, kind, value_fn, set_into in specs:
-            if id(parent) in aliased:
-                continue  # fused away: parent grad slot aliases this one
-            slot = ctx._gslot[id(parent)]
+    for node in reversed(ops):
+        prim = node._prim
+        sinks: List[Optional[Callable]] = []
+        for p in node._parents:
+            if not p.requires_grad or id(p) in aliased:
+                sinks.append(None)  # no grad, or fused into this node's slot
+                continue
+            slot = ctx._gslot[id(p)]
             first = slot not in written
             written.add(slot)
             buf = leaf_slots.get(slot)
-            if kind == "id":
-                value_fn = (lambda gs=gs: gv[gs])
             if buf is not None:  # leaf: arena buffer target
-                if first:
-                    if set_into is not None:
-                        bwd.append(lambda set_into=set_into, buf=buf:
-                                   set_into(buf))
-                    else:
-                        bwd.append(lambda buf=buf, value_fn=value_fn:
-                                   xp.copyto(buf, value_fn()))
-                else:
-                    bwd.append(lambda buf=buf, value_fn=value_fn:
-                               buf.__iadd__(value_fn()))
-            elif first:
-                if kind in ("id", "view"):
-                    # eager _accumulate copies shared arrays on first write
-                    bwd.append(lambda slot=slot, value_fn=value_fn:
-                               gv.__setitem__(slot, value_fn().copy()))
-                else:
-                    bwd.append(lambda slot=slot, value_fn=value_fn:
-                               gv.__setitem__(slot, value_fn()))
+                sinks.append(functools.partial(xp.copyto, buf) if first
+                             else buf.__iadd__)
+            elif not first:
+                sinks.append(lambda g, slot=slot: gv[slot].__iadd__(g))
+            elif prim.views or (prim.identity and p.shape == node.shape):
+                sinks.append(_copy_to_slot(gv, slot, ctx.buf(p.data.shape,
+                                                             p.data.dtype)))
             else:
-                bwd.append(lambda slot=slot, value_fn=value_fn:
-                           gv[slot].__iadd__(value_fn()))
+                sinks.append(functools.partial(gv.__setitem__, slot))
+        bwd.append(_backward_thunk(node, ctx, saved, sinks))
 
     plan = TapePlan()
     plan.vals = ctx.vals
@@ -1070,7 +383,7 @@ def compile_plan(tape: Tape, loss: Tensor, arena: Dict[int, xp.ndarray],
     plan.absent = [p for p in wrt if id(p) not in plan.leaf_ids]
     plan.config_epoch = autograd.config_epoch()
     plan.fingerprint = fingerprint
-    plan.num_nodes = len(needed)
+    plan.num_nodes = len(ops)
     plan.num_bwd_thunks = len(bwd)
     return plan
 

@@ -55,7 +55,7 @@ import os
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.serve import faults
 from repro.serve.lifecycle import (
@@ -400,6 +400,10 @@ class ServeDaemon:
         self._draining = False
         self._started_at = 0.0
         self._stop_event = threading.Event()
+        #: set whenever the daemon is not running; a shutdown() racing the
+        #: one in progress waits on it
+        self._stopped = threading.Event()
+        self._stopped.set()
 
         # online operations: lifecycle manager over this registry, shadow
         # queueing, worker control-message plumbing, drift aggregation
@@ -479,6 +483,8 @@ class ServeDaemon:
                 os.unlink(self._location)
             raise
         self._running = True
+        self._stop_event.clear()
+        self._stopped.clear()
         self._started_at = time.perf_counter()
         loops = [(self._accept_loop, "accept"),
                  (self._dispatch_loop, "dispatch"),
@@ -623,22 +629,33 @@ class ServeDaemon:
                 continue      # registry hiccup: retry next tick
 
     def shutdown(self, drain: bool = True, timeout: float = 120.0,
-                 _exempt_conn: Optional[socket.socket] = None) -> None:
-        """Stop the daemon; with ``drain`` outstanding work completes first."""
-        self._stop_event.set()
+                 _exempt_conn: Optional[socket.socket] = None,
+                 _ack: Optional[Callable[[], None]] = None) -> None:
+        """Stop the daemon; with ``drain`` outstanding work completes first.
+
+        Returns once every daemon thread has exited; a call racing a
+        shutdown in progress waits for it.  ``_ack`` (the ``shutdown`` op's
+        reply) runs just before the daemon counts as stopped.
+        """
         with self._lock:
-            if not self._running:
-                return
-            self._draining = True
-            if drain:
-                deadline = time.monotonic() + timeout
-                while (self._queued or self._inflight) and \
-                        time.monotonic() < deadline:
-                    self._work_available.notify_all()
-                    self._drained.wait(timeout=0.1)
-            self._running = False
-            pool = list(self._pool.values())
-            self._work_available.notify_all()
+            running = self._running
+            if running:
+                self._draining = True
+                if drain:
+                    deadline = time.monotonic() + timeout
+                    while (self._queued or self._inflight) and \
+                            time.monotonic() < deadline:
+                        self._work_available.notify_all()
+                        self._drained.wait(timeout=0.1)
+                self._running = False
+                self._stop_event.set()     # wakes the monitor and watch loops
+                pool = list(self._pool.values())
+                self._work_available.notify_all()
+        if not running:
+            self._stopped.wait()
+            if _ack is not None:
+                _ack()
+            return
         for worker in pool:
             try:
                 worker.task_queue.put(("stop",))
@@ -649,6 +666,7 @@ class ServeDaemon:
             if worker.process.is_alive():
                 worker.process.terminate()
                 worker.process.join(timeout=5.0)
+        self._result_queue.put(("stop",))    # wakes the collector
         if self._listener is not None:
             # wake the accept thread before closing: a close() alone leaves
             # it blocked in accept(), and the in-kernel reference it holds
@@ -696,6 +714,15 @@ class ServeDaemon:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        # every loop has been woken above (listener shut down, dispatcher
+        # notified, stop event set); return only once they have exited
+        current = threading.current_thread()
+        for thread in self._threads:
+            if thread is not current:
+                thread.join()
+        if _ack is not None:
+            _ack()
+        self._stopped.set()
 
     def __enter__(self) -> "ServeDaemon":
         return self.start()
@@ -781,8 +808,9 @@ class ServeDaemon:
             # the reply path alive until outstanding work has finished
             def drain_and_ack():
                 self.shutdown(drain=bool(document.get("drain", True)),
-                              _exempt_conn=conn)
-                reply(ok_response(request_id, {"stopped": True}))
+                              _exempt_conn=conn,
+                              _ack=lambda: reply(ok_response(
+                                  request_id, {"stopped": True})))
             threading.Thread(target=drain_and_ack,
                              name="repro-daemon-shutdown",
                              daemon=True).start()
@@ -990,6 +1018,8 @@ class ServeDaemon:
                 if not self._running:
                     return
                 continue
+            if message[0] == "stop":
+                return
             if message[0] == "ready":
                 continue              # a healed worker came up
             if message[0] == "control_done":
@@ -1114,7 +1144,7 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     def _monitor_loop(self) -> None:
         while True:
-            time.sleep(0.05)
+            self._stop_event.wait(0.05)
             with self._lock:
                 if not self._running:
                     return

@@ -122,6 +122,7 @@ class _MuxChannel:
         self.connect_timeout = connect_timeout
         self._lock = threading.Lock()
         self._channel: Optional[LineChannel] = None
+        self._reader: Optional[threading.Thread] = None
         self._pending: Dict[str, _Waiter] = {}
         self._next_id = 0
 
@@ -135,9 +136,10 @@ class _MuxChannel:
                     connect_address(self.address,
                                     timeout=self.connect_timeout))
                 self._channel = channel
-                threading.Thread(target=self._read_loop, args=(channel,),
-                                 name=f"repro-router-read[{self.address}]",
-                                 daemon=True).start()
+                self._reader = threading.Thread(
+                    target=self._read_loop, args=(channel,),
+                    name=f"repro-router-read[{self.address}]", daemon=True)
+                self._reader.start()
             request_id = f"x{self._next_id}"
             self._next_id += 1
             self._pending[request_id] = waiter
@@ -178,6 +180,12 @@ class _MuxChannel:
 
     def _teardown_locked(self, error: BaseException) -> None:
         if self._channel is not None:
+            # shut down before closing: close() alone does not wake a
+            # reader blocked in recv()
+            try:
+                self._channel.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._channel.close()
             self._channel = None
         pending, self._pending = self._pending, {}
@@ -186,8 +194,12 @@ class _MuxChannel:
             waiter.event.set()
 
     def close(self) -> None:
+        """Tear the connection down; returns once its reader has exited."""
         with self._lock:
+            reader, self._reader = self._reader, None
             self._teardown_locked(ConnectionError("channel closed"))
+        if reader is not None and reader is not threading.current_thread():
+            reader.join()
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +294,11 @@ class ServeRouter:
         self._conns: set = set()
         self._conns_lock = threading.Lock()
         self._threads: List[threading.Thread] = []
+        self._stop_event = threading.Event()
+        #: set whenever the router is not running; a shutdown() racing the
+        #: one in progress waits on it
+        self._stopped = threading.Event()
+        self._stopped.set()
         self._executor = None
         self._running = False
         self._started_at = 0.0
@@ -319,6 +336,8 @@ class ServeRouter:
             max_workers=self.forward_threads,
             thread_name_prefix="repro-router-fwd")
         self._running = True
+        self._stop_event.clear()
+        self._stopped.clear()
         self._started_at = time.perf_counter()
         for target, name in ((self._accept_loop, "accept"),
                              (self._probe_loop, "probe")):
@@ -330,10 +349,16 @@ class ServeRouter:
         return self
 
     def shutdown(self) -> None:
-        """Stop the router (replicas keep running; they are not owned)."""
+        """Stop the router (replicas keep running; they are not owned).
+
+        Returns once every router thread has exited; a call racing a
+        shutdown in progress waits for it.
+        """
         if not self._running:
+            self._stopped.wait()
             return
         self._running = False
+        self._stop_event.set()           # wakes the probe loop's wait
         # wake the accept thread before closing: a close() alone leaves it
         # blocked in accept(), and the in-kernel reference it holds keeps
         # the port in LISTEN after we exit (EADDRINUSE on restart)
@@ -351,6 +376,12 @@ class ServeRouter:
             except OSError:
                 pass
         self._executor.shutdown(wait=True)
+        # join the loops before closing the channels, so a probe still in
+        # flight cannot re-dial a replica after its channel is closed
+        current = threading.current_thread()
+        for thread in self._threads:
+            if thread is not current:
+                thread.join()
         for replica in self._replicas:
             replica.channel.close()
         # hang up on connected clients so they observe the stop instead of
@@ -362,6 +393,7 @@ class ServeRouter:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        self._stopped.set()
 
     def __enter__(self) -> "ServeRouter":
         return self.start()
@@ -639,7 +671,8 @@ class ServeRouter:
                 if not self._running:
                     return
                 self._probe_one(replica)
-            time.sleep(self.probe_interval)
+            if self._stop_event.wait(self.probe_interval):
+                return
 
     def _probe_one(self, replica: Replica) -> None:
         try:

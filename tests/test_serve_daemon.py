@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 import collections
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -183,6 +184,15 @@ class TestDaemonFailurePaths:
                         client.request(document)
                     assert err.value.code == "bad_request"
                 assert client.ping()     # daemon is still healthy
+
+    def test_shutdown_joins_loop_threads(self):
+        """``shutdown()`` returns only after the daemon's loops exited."""
+        before = set(threading.enumerate())
+        daemon = ServeDaemon(_socket_path(), workers=1, max_batch=1).start()
+        daemon.shutdown()
+        leaked = [t.name for t in threading.enumerate()
+                  if t not in before and t.name.startswith("repro-daemon-")]
+        assert leaked == []
 
     def test_queue_overflow_sheds_with_structured_response(self):
         path = _socket_path()

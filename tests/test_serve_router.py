@@ -4,6 +4,7 @@ import json
 import os
 import socket
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -364,6 +365,24 @@ class TestRouterServing:
             assert client.request({"op": "ping"})["router"] is True
             remote = client.stats()
         assert remote["ring"] == stats["ring"]
+
+    def test_shutdown_joins_loop_threads(self):
+        """``shutdown()`` returns only after the router's loops exited,
+        including the replica channel readers its probes started."""
+        replica = ServeDaemon(_socket_path(), workers=1, max_batch=1).start()
+        try:
+            before = set(threading.enumerate())
+            router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
+                                 probe_interval=0.05).start()
+            assert _await(lambda: router.replicas[0].last_probe is not None,
+                          timeout=10.0)
+            router.shutdown()
+            leaked = [t.name for t in threading.enumerate()
+                      if t not in before
+                      and t.name.startswith("repro-router-")]
+            assert leaked == []
+        finally:
+            replica.shutdown()
 
     def test_admission_control_sheds_with_structured_error(self,
                                                            registry_root):

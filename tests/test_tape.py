@@ -28,6 +28,7 @@ from repro.nn import (
     concat,
     config_epoch,
     cross_entropy,
+    dropout,
     log_softmax,
     runtime,
     segment_mean,
@@ -36,6 +37,8 @@ from repro.nn import (
     stack_rows,
     use_fast_segment_ops,
 )
+from repro.nn.autograd import PRIMITIVES
+from repro.nn.tape import Tape
 
 
 # ----------------------------------------------------------------------
@@ -99,6 +102,123 @@ def _gradcheck_replayed(make_loss, params, atol=1e-4):
 def _random_edges(rng, num_nodes, num_edges):
     return np.stack([rng.integers(0, num_nodes, num_edges),
                      rng.integers(0, num_nodes, num_edges)]).astype(np.int64)
+
+
+# ----------------------------------------------------------------------
+# one replay case per registered primitive
+# ----------------------------------------------------------------------
+def _leaf(shape, seed):
+    return Tensor(np.random.default_rng(seed).standard_normal(shape),
+                  requires_grad=True)
+
+
+def _weighted(t, seed=99):
+    """``(t * W).sum()`` for a fixed random ``W``: every output element
+    reaches the loss with its own weight."""
+    w = np.random.default_rng(seed).standard_normal(t.shape)
+    return (t * Tensor(w)).sum()
+
+
+def _unary(op, shape=(4, 5)):
+    x = _leaf(shape, 0)
+    return (lambda: _weighted(op(x))), [x]
+
+
+def _binary(op, b_shape=(4, 5)):
+    x, y = _leaf((4, 5), 0), _leaf(b_shape, 1)
+    return (lambda: _weighted(op(x, y))), [x, y]
+
+
+def _case_linear():
+    x, w, b = _leaf((6, 4), 3), _leaf((4, 3), 4), _leaf(3, 5)
+    return (lambda: _weighted(x.linear(w, b).tanh())
+            + x.linear(w).sum()), [x, w, b]
+
+
+def _case_concat():
+    x, y = _leaf((4, 3), 0), _leaf((4, 2), 1)
+    return (lambda: _weighted(concat([x, y], axis=1))
+            + _weighted(concat([x, x], axis=0))), [x, y]
+
+
+def _case_stack_rows():
+    rows = [_leaf(5, i) for i in range(3)]
+    return (lambda: _weighted(stack_rows(rows))), rows
+
+
+def _case_index_select():
+    idx = np.array([0, 2, 2, 5, 1], dtype=np.int64)
+    return _unary(lambda x: x.index_select(idx), shape=(6, 3))
+
+
+def _case_scatter_add():
+    ids = np.array([0, 0, 1, 3, 3, 3, 1, 0], dtype=np.int64)
+    return _unary(lambda x: x.scatter_add(ids, 5), shape=(8, 3))
+
+
+def _case_fused_gru():
+    cell = FusedGRUCell(4, 6, rng=np.random.default_rng(5))
+    x, h = _leaf((7, 4), 9), _leaf((7, 6), 10)
+    return (lambda: _weighted(cell(x, h))), [x, h] + cell.parameters()
+
+
+def _case_mean_agg():
+    rng = np.random.default_rng(42)
+    layout = EdgeLayout(_random_edges(rng, 12, 40), 12)
+    conv = GGNNConv(4, 4, rng=np.random.default_rng(7))
+    x = _leaf((12, 4), 8)
+    return (lambda: _weighted(conv(x, layout))), [x] + conv.parameters()
+
+
+def _case_dropout():
+    """Two identically seeded streams: eager vs record + replay."""
+    def build():
+        x = _leaf((8, 5), 11)
+        rng = np.random.default_rng(3)
+        return (lambda: (dropout(x, 0.3, rng) * x).sum()), [x]
+    return build
+
+
+PRIMITIVE_CASES = {
+    "add_s": lambda: _unary(lambda x: (x + 2.0) * x),
+    "add_t": lambda: _binary(lambda x, b: (x + b) * (x + x), b_shape=(5,)),
+    "neg": lambda: _unary(lambda x: -x * x),
+    "rsub_s": lambda: _unary(lambda x: (3.0 - x) * x),
+    "mul_s": lambda: _unary(lambda x: x * 0.5 * x),
+    "mul_t": lambda: _binary(lambda x, b: x * b * x, b_shape=(1, 5)),
+    "div_s": lambda: _unary(lambda x: (x / 4.0) * x),
+    "div_t": lambda: _binary(lambda x, b: x / (b * b + 2.0), b_shape=(5,)),
+    "pow": lambda: _unary(lambda x: (x * x + 1.0) ** 1.5),
+    "matmul": lambda: _binary(lambda x, w: (x @ w).tanh(), b_shape=(5, 3)),
+    "linear": _case_linear,
+    "sum": lambda: _unary(lambda x: x.sum(axis=0) * x.sum(axis=1,
+                                                          keepdims=True)
+                          + x.sum()),
+    "reshape": lambda: _unary(lambda x: x.reshape(5, 4)),
+    "transpose": lambda: _unary(lambda x: x.T),
+    "slice_cols": lambda: _unary(lambda x: x.slice_cols(1, 4)),
+    "relu": lambda: _unary(lambda x: x.relu()),
+    "leaky_relu": lambda: _unary(lambda x: x.leaky_relu(0.2)),
+    "sigmoid": lambda: _unary(lambda x: x.sigmoid()),
+    "tanh": lambda: _unary(lambda x: x.tanh()),
+    "exp": lambda: _unary(lambda x: x.exp()),
+    "log": lambda: _unary(lambda x: (x * x + 1.0).log()),
+    "sub_max": lambda: _unary(lambda x: softmax(x)),
+    "dropout": _case_dropout,
+    "index_select": _case_index_select,
+    "scatter_add": _case_scatter_add,
+    "concat": _case_concat,
+    "stack_rows": _case_stack_rows,
+    "fused_gru": _case_fused_gru,
+    "mean_agg": _case_mean_agg,
+}
+
+
+def _recorded_primitives(make_loss):
+    tape = Tape()
+    with tape.recording():
+        make_loss()
+    return {t._prim.name for t in tape.records}
 
 
 # ----------------------------------------------------------------------
@@ -194,6 +314,34 @@ class TestPrimitiveReplay:
         with use_fast_segment_ops(True):
             _gradcheck_replayed(lambda: conv(x, layout).tanh().sum(),
                                 [x] + conv.parameters(), atol=1e-4)
+
+    @pytest.mark.parametrize("name", sorted(PRIMITIVES))
+    def test_registered_primitive(self, name):
+        """Every registered primitive has a case, and the case records it."""
+        assert name in PRIMITIVE_CASES, \
+            f"primitive {name!r} has no replay case in PRIMITIVE_CASES"
+        with use_fast_segment_ops(True):
+            if name == "dropout":
+                build = PRIMITIVE_CASES[name]()
+                assert name in _recorded_primitives(build()[0])
+                (make_a, params_a), (make_b, params_b) = build(), build()
+                runner = TapeRunner(wrt=params_b)
+                for _ in range(3):
+                    for p in params_a:
+                        p.grad = None
+                    loss = make_a()
+                    loss.backward()
+                    assert runner.step("k", make_b) == float(loss.data)
+                    for pa, pb in zip(params_a, params_b):
+                        np.testing.assert_array_equal(pb.grad, pa.grad)
+                assert runner.replays == 2
+                return
+            make_loss, params = PRIMITIVE_CASES[name]()
+            assert name in _recorded_primitives(make_loss)
+            _gradcheck_replayed(make_loss, params)
+
+    def test_every_case_names_a_registered_primitive(self):
+        assert set(PRIMITIVE_CASES) <= set(PRIMITIVES)
 
     def test_dropout_rng_stream_stays_aligned(self):
         """Replay draws dropout masks from the captured rng, like eager."""
@@ -352,6 +500,20 @@ class TestGuards:
         assert runner.records == 0 and runner.replays == 0
         assert runner.eager_steps == 3 and "k" in runner.unsupported
 
+    def test_view_contribution_is_copied_before_accumulation(self):
+        """A view of the loss seed that later receives ``+=`` is copied
+        first, as eager ``_accumulate`` does, so the seed survives."""
+        x = Tensor(np.array([1.5]), requires_grad=True)
+
+        def make_loss():
+            y = x * 1.0          # a non-leaf: its gradient lives in a slot
+            return (y * 2.0).sum() + y.reshape(())
+        runner = TapeRunner(wrt=[x])
+        for _ in range(3):
+            assert runner.step("k", make_loss) == 4.5
+            np.testing.assert_array_equal(x.grad, [3.0])
+        assert runner.replays == 2
+
     def test_absent_param_grad_is_none(self):
         """Params outside the replayed graph get grad=None, like zero_grad."""
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -395,6 +557,7 @@ class TestTrainingEquivalence:
 
         assert runner.replays > 0 and runner.records > 0
         assert runner.guard_failures == 0
+        assert runner.eager_steps == 0
         assert tape_history["loss"] == eager_history["loss"]
         assert set(tape_state) == set(eager_state)
         for name in eager_state:
