@@ -7,51 +7,55 @@ in-process :class:`~repro.serve.engine.InferenceEngine`:
   ``AF_UNIX`` path or ``tcp://HOST:PORT`` for cross-host replicas, selected
   by the address scheme (:func:`~repro.serve.protocol.parse_address`) —
   many connections, pipelined requests, out-of-order responses;
-* an **async dispatcher** queues requests per ``(model, version)`` route
-  and is work-conserving: whenever a worker is idle, the route with the
-  oldest waiting request flushes at once, up to ``max_batch`` requests.  A
-  lone request never waits on a timer; batches form by themselves while
-  every worker is busy;
+* a **work-conserving dispatch rule** queues requests per ``(model,
+  version)`` route: whenever a worker is idle, the route with the oldest
+  waiting request flushes at once, up to ``max_batch`` requests, so a lone
+  request never waits on a timer and batches form while workers are busy;
 * a **pool of worker processes**, each holding a warm
   :class:`~repro.serve.registry.ModelRegistry` model behind its own
   :class:`~repro.serve.engine.InferenceEngine`, answers each batch with one
   synchronous ``predict_batch`` call — the only batching stage on the path.
 
-The request queue is bounded: when ``max_queue`` requests are already
-waiting, new work is *shed* with a structured ``overloaded`` error instead
-of growing the queue without bound (the client backs off; latency stays
-bounded).  A monitor thread heals the pool — if a worker dies mid-batch its
-requests are retried once on another worker (the deliberately-crashing
-debug op is failed, not retried) and a replacement process is spawned.
-``shutdown`` drains: queued and in-flight work completes, workers stop
-cleanly, then the socket disappears.
+One thread, ``repro-daemon-loop``, drives them: a :mod:`selectors` loop
+over the listening socket, the client sockets and one duplex
+:func:`multiprocessing.Pipe` per worker.  Each event admits the complete
+request lines a client sent or takes one worker message; then idle workers
+get batches until :meth:`ServeDaemon._form_batch_locked` has none left.  A
+worker is idle only after its ``ready``, never while it is still loading.
+
+The request queue is bounded: beyond ``max_queue`` waiting requests new
+work is *shed* with a structured ``overloaded`` error.  A worker's death is
+EOF on its pipe: its requests are retried once on another worker (the
+deliberately-crashing debug op is failed, not retried) and a replacement
+is spawned.  ``shutdown`` drains: queued and in-flight work completes,
+workers stop cleanly, then the socket disappears.
 
 Determinism: a worker answers ``tune``/``map`` through the same
 ``registry.load`` → ``InferenceEngine`` path as in-process serving, so
 daemon predictions are byte-identical to :class:`InferenceEngine` over the
 same published artifact.
 
-Online operations (:mod:`repro.serve.lifecycle`): with a registry the
-daemon runs a **watcher** thread that polls the registry generation and
-hot-swaps routes onto newly published versions with zero drain — the
-dispatcher stamps every batch with the route's resolved version under the
-dispatch lock, so a flip lands exactly between micro-batches and no batch
-mixes versions.  ``swap`` pins/rolls back a route; ``shadow`` tees a
-fraction of answered live traffic to a candidate version through a
-separate low-priority queue, diffing its answers against the delivered
-ones.  A shadow batch takes a worker only while no live request waits and
-at least ``min(2, workers)`` workers are idle, so in a pool of two or more
-it never takes the last idle worker the next live request needs (the
-bounded priority blocking of DPCP-p).  Workers stream cumulative
-per-engine drift scores back with every batch; ``stats`` reports swap
-counters, shadow disagreement and per-route drift.
+Online operations (:mod:`repro.serve.lifecycle`): with a registry the loop
+reads the registry generation every ``watch_interval_s`` (its selector
+timeout); when it moved, a short-lived helper thread hot-swaps routes with
+zero drain.  ``swap``/``shadow`` ops run on helpers too; their broadcasts
+complete on loop events (worker acks, or a dead worker's EOF).  Batches
+are stamped with one resolved version under the dispatch lock, so a flip
+lands between micro-batches.  ``shadow`` tees answered live traffic to a
+candidate version and diffs the answers; a shadow batch starts only while
+no live request waits and ``min(2, workers)`` workers are idle, so it never
+takes the last idle worker of a larger pool (DPCP-p's bounded priority
+blocking).  ``stats`` reports swaps, shadow disagreement and the drift
+scores workers send back with every batch.
 """
 
 from __future__ import annotations
 
 import collections
 import multiprocessing
+import multiprocessing.connection
 import os
+import selectors
 import socket
 import threading
 import time
@@ -89,6 +93,9 @@ MAX_ATTEMPTS = 2
 
 _ROUTE_SESSION = ("session",)
 _ROUTE_DEBUG = ("debug",)
+
+#: ``_Worker.busy_with`` of a worker that has not reported ``ready`` yet
+_LOADING = "loading"
 
 
 def route_label(route: tuple) -> str:
@@ -206,33 +213,31 @@ def _execute_one(service, request: Dict[str, Any],
     raise ValueError(f"unroutable op {op!r}")
 
 
-def _run_control(service, worker_id: int, control_id: int,
-                 command: Dict[str, Any], result_queue) -> None:
+def _run_control(service, control_id: int, command: Dict[str, Any],
+                 send: Callable[[tuple], None]) -> None:
     """Execute one warm/retire control command and ack it."""
     try:
         if command["cmd"] == "warm":
             version = service.warm(command["model"],
                                    command.get("version"))
-            detail = f"warmed {command['model']}@{version}"
+            ok, detail = True, f"warmed {command['model']}@{version}"
         elif command["cmd"] == "retire":
             closed = service.retire(command["model"], command["version"])
-            detail = ("retired" if closed else "not loaded")
+            ok, detail = True, ("retired" if closed else "not loaded")
         else:
             raise ValueError(f"unknown control cmd {command.get('cmd')!r}")
-        result_queue.put(("control_done", worker_id, control_id,
-                          True, detail))
     except Exception as exc:
-        result_queue.put(("control_done", worker_id, control_id, False,
-                          f"{type(exc).__name__}: {exc}"))
+        ok, detail = False, f"{type(exc).__name__}: {exc}"
+    send(("control_done", control_id, ok, detail))
 
 
 def _exit_when_orphaned(parent: int) -> None:
     """Exit this worker once the daemon that started it is gone.
 
-    A SIGKILLed daemon sends no ``stop``, so the worker's blocking
-    ``task_queue.get()`` would wait forever.  ``os._exit`` skips joining the
-    result-queue feeder, which nobody reads any more.  A watchdog thread,
-    not a ``get(timeout=...)`` poll, keeps the check off the per-batch path.
+    A SIGKILLed daemon sends no ``stop``, and under fork later workers hold
+    copies of earlier workers' daemon-side pipe ends, so ``conn.recv()``
+    may never see EOF.  A watchdog thread, not a ``recv`` timeout, keeps
+    the check off the per-batch path.
     """
     while os.getppid() == parent:
         time.sleep(1.0)
@@ -241,10 +246,17 @@ def _exit_when_orphaned(parent: int) -> None:
 
 def _worker_main(worker_id: int, registry_root: Optional[str],
                  engine_opts: Dict[str, Any], preload: List[str],
-                 debug_ops: bool, task_queue, result_queue) -> None:
-    """One worker: a warm per-model engine cache behind a task queue."""
+                 debug_ops: bool, conn) -> None:
+    """One worker: a warm per-model engine cache behind one duplex pipe."""
     from repro.serve.registry import ModelRegistry
     from repro.serve.service import TuningService
+
+    send_lock = threading.Lock()
+
+    def send(message: tuple) -> None:
+        # the warm thread answers too: one whole message at a time
+        with send_lock:
+            conn.send(message)
 
     # chaos only: an REPRO_FAULTS plan with kill_after SIGKILLs this worker
     # after that many answered tune/map requests — after the answers are
@@ -259,12 +271,14 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
             name, _, version = entry.partition("@")
             service.engine(name, int(version) if version else None)
     except Exception as exc:
-        result_queue.put(("failed", worker_id,
-                          f"preload failed: {type(exc).__name__}: {exc}"))
+        send(("failed", f"preload failed: {type(exc).__name__}: {exc}"))
         return
-    result_queue.put(("ready", worker_id, os.getpid()))
+    send(("ready",))
     while True:
-        message = task_queue.get()
+        try:
+            message = conn.recv()
+        except EOFError:
+            break                     # the daemon closed its end
         if message[0] == "stop":
             break
         if message[0] == "control":
@@ -274,13 +288,11 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                 # on this worker while the candidate engine loads
                 threading.Thread(
                     target=_run_control,
-                    args=(service, worker_id, control_id, command,
-                          result_queue),
+                    args=(service, control_id, command, send),
                     name=f"repro-worker-warm-{control_id}",
                     daemon=True).start()
             else:
-                _run_control(service, worker_id, control_id, command,
-                             result_queue)
+                _run_control(service, control_id, command, send)
             continue
         _, batch_id, requests = message
         results: List[Dict[str, Any]] = []
@@ -312,12 +324,12 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
         if injector is not None:
             for _ in tune_map:
                 injector.evaluated()
-        result_queue.put(("done", worker_id, batch_id, results, extras))
+        send(("done", batch_id, results, extras))
     service.close()
 
 
 # ----------------------------------------------------------------------
-# daemon-side request bookkeeping
+# daemon-side bookkeeping: requests, workers, connections
 # ----------------------------------------------------------------------
 class _PendingRequest:
     __slots__ = ("request_id", "op", "payload", "reply", "enqueued_at",
@@ -335,20 +347,58 @@ class _PendingRequest:
 
 
 class _Worker:
-    """Daemon-side handle of one worker process."""
+    """Daemon-side handle of one worker process and its duplex pipe."""
 
-    def __init__(self, worker_id: int, process, task_queue):
+    def __init__(self, worker_id: int, process, conn):
         self.worker_id = worker_id
         self.process = process
-        self.task_queue = task_queue
-        self.busy_with: Optional[int] = None      # batch id
+        self.conn = conn
+        #: the batch id in flight, ``_LOADING`` before ``ready``, or None
+        self.busy_with: Any = None
 
     def alive(self) -> bool:
         return self.process.is_alive()
 
+    def reap(self) -> None:
+        """Join (terminating a straggler) and close the process and pipe."""
+        self.process.join(timeout=10.0)
+        if self.process.is_alive():
+            self.process.terminate()
+            self.process.join(timeout=5.0)
+        self.conn.close()
+        if not self.process.is_alive():
+            self.process.close()
+
+
+class _Client(LineChannel):
+    """One accepted connection.  The loop and an admin helper may both
+    answer it, so each reply goes out whole (a blocking ``sendall``) under
+    ``write_lock``."""
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(sock)
+        self.write_lock = threading.Lock()
+
+    def reply(self, document: Dict[str, Any]) -> None:
+        try:
+            with self.write_lock:
+                self.send(document)
+        except OSError:
+            pass                      # client went away; nothing to tell it
+
+    def close(self) -> None:
+        # a worker forked while this client was connected holds a copy of
+        # the socket: without a shutdown, close() would not hang up
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        super().close()
+
 
 class ServeDaemon:
-    """Socket front-end + dispatcher + healing worker pool (see module doc)."""
+    """Socket front-end + dispatch rule + healing worker pool, driven by
+    one selector loop (see module doc)."""
 
     def __init__(self, address: str, registry_root: Optional[str] = None,
                  workers: int = 2, max_batch: int = 16, max_queue: int = 64,
@@ -375,15 +425,15 @@ class ServeDaemon:
                             "cache_size": int(cache_size)}
         self.preload = list(preload or [])
         self.debug_ops = bool(debug_ops)
-        #: registry-watch poll period; 0 disables the watcher (routes then
-        #: only move on explicit ``swap`` ops)
+        #: registry-watch period (the loop's selector timeout); 0 disables
+        #: the watch (routes then only move on explicit ``swap`` ops)
         self.watch_interval_s = float(watch_interval_s)
         self._mp = (multiprocessing.get_context(mp_start_method)
                     if mp_start_method else multiprocessing)
 
+        #: guards the queues, the pool, the control waiters and the stats;
+        #: the loop is the only writer except for admin helpers' broadcasts
         self._lock = threading.Lock()
-        self._work_available = threading.Condition(self._lock)
-        self._drained = threading.Condition(self._lock)
         self._routes: "collections.OrderedDict[tuple, collections.deque]" = \
             collections.OrderedDict()
         self._queued = 0
@@ -391,15 +441,17 @@ class ServeDaemon:
         self._pool: Dict[int, _Worker] = {}
         self._next_batch_id = 0
         self._next_worker_id = 0
-        self._result_queue = None
         self._listener: Optional[socket.socket] = None
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wakeup: Tuple[socket.socket, ...] = ()   # (loop end, waker)
+        self._clients: set = set()
+        self._loop_thread: Optional[threading.Thread] = None
+        self._helpers: List[threading.Thread] = []
         self._running = False
         self._draining = False
+        #: acks of ``shutdown`` ops that raced the shutdown in progress
+        self._shutdown_acks: List[Callable[[], None]] = []
         self._started_at = 0.0
-        self._stop_event = threading.Event()
         #: set whenever the daemon is not running; a shutdown() racing the
         #: one in progress waits on it
         self._stopped = threading.Event()
@@ -421,12 +473,10 @@ class ServeDaemon:
         self._shadow_batch_ids: set = set()
         self._shadow_contention = 0
         self._shadow_batch_count = 0
-        self._control_lock = threading.Lock()
         self._control_waiters: Dict[int, Dict[str, Any]] = {}
         self._next_control_id = 0
         self._drift = DriftAggregator()
 
-        self._stats_lock = threading.Lock()
         self._received = 0
         self._completed = 0
         self._errors = 0
@@ -451,7 +501,7 @@ class ServeDaemon:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self, ready_timeout: float = 120.0) -> "ServeDaemon":
-        """Bind the socket, spawn + warm the workers, start the dispatcher."""
+        """Bind the socket, spawn + warm the workers, start the loop."""
         if self._running:
             raise RuntimeError("daemon already started")
         if self.scheme == "unix" and os.path.exists(self._location):
@@ -466,10 +516,9 @@ class ServeDaemon:
                 raise RuntimeError(
                     f"another daemon is already serving {self.address}")
         # bind before spawning: a refused bind must not leak worker processes
-        listener, self.address = create_listener(self.address)
-        self._listener = listener
-
-        self._result_queue = self._mp.Queue()
+        self._listener, self.address = create_listener(self.address)
+        self._selector = selectors.DefaultSelector()
+        self._wakeup = socket.socketpair()
         try:
             with self._lock:
                 for _ in range(self.workers):
@@ -478,32 +527,27 @@ class ServeDaemon:
         except BaseException:
             for worker in self._pool.values():
                 worker.process.terminate()
-            listener.close()
-            if self.scheme == "unix":
-                os.unlink(self._location)
+            self._release()
             raise
-        self._running = True
-        self._stop_event.clear()
+        self._listener.setblocking(False)
+        self._selector.register(self._listener, selectors.EVENT_READ,
+                                (self._accept, self._listener))
+        self._selector.register(self._wakeup[0], selectors.EVENT_READ,
+                                (lambda sock: sock.recv(4096),
+                                 self._wakeup[0]))
+        self._running, self._draining = True, False
         self._stopped.clear()
         self._started_at = time.perf_counter()
-        loops = [(self._accept_loop, "accept"),
-                 (self._dispatch_loop, "dispatch"),
-                 (self._collect_loop, "collect"),
-                 (self._monitor_loop, "monitor")]
-        if self._lifecycle is not None and self.watch_interval_s > 0:
-            loops.append((self._watch_loop, "watch"))
-        for target, name in loops:
-            thread = threading.Thread(target=target,
-                                      name=f"repro-daemon-{name}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._loop_thread = threading.Thread(target=self._loop,
+                                             name="repro-daemon-loop",
+                                             daemon=True)
+        self._loop_thread.start()
         return self
 
     def _spawn_worker_locked(self) -> _Worker:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        task_queue = self._mp.Queue()
+        conn, child_conn = self._mp.Pipe()
         # healed workers come up warm on every version the lifecycle has
         # swapped in, not just the configured preload — a route must heal
         # onto the version it currently serves
@@ -511,90 +555,108 @@ class ServeDaemon:
         process = self._mp.Process(
             target=_worker_main,
             args=(worker_id, self.registry_root, self.engine_opts,
-                  preload, self.debug_ops, task_queue,
-                  self._result_queue),
+                  preload, self.debug_ops, child_conn),
             name=f"repro-serve-worker-{worker_id}", daemon=True)
         process.start()
-        worker = _Worker(worker_id, process, task_queue)
+        # the worker's death is EOF on ``conn`` only once no copy of its
+        # end survives here
+        child_conn.close()
+        worker = _Worker(worker_id, process, conn)
+        worker.busy_with = _LOADING
         self._pool[worker_id] = worker
+        self._selector.register(conn, selectors.EVENT_READ,
+                                (self._read_worker, worker))
         return worker
 
     def _await_workers(self, timeout: float) -> None:
+        """Wait for every worker's ``ready``; fail fast if one dies first."""
         deadline = time.monotonic() + timeout
-        ready = 0
-        while ready < self.workers:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
+        loading = {worker.conn: worker for worker in self._pool.values()}
+        while loading:
+            ready = multiprocessing.connection.wait(
+                list(loading), max(0.0, deadline - time.monotonic()))
+            if not ready:
                 raise RuntimeError("workers did not come up in time")
+            for conn in ready:
+                worker = loading.pop(conn)
+                try:
+                    message = conn.recv()
+                except EOFError:
+                    worker.process.join(timeout=5.0)
+                    raise RuntimeError(
+                        f"worker {worker.worker_id} exited with code "
+                        f"{worker.process.exitcode} before it was ready"
+                    ) from None
+                if message[0] == "failed":
+                    raise RuntimeError(f"worker {worker.worker_id} failed "
+                                       f"to start: {message[1]}")
+                worker.busy_with = None
+
+    def _release(self) -> None:
+        """Reap the workers; close the listener, socket file and selector."""
+        for worker in self._pool.values():
+            worker.reap()
+        with self._lock:
+            self._pool.clear()
+        self._listener.close()
+        if self.scheme == "unix" and os.path.exists(self._location):
             try:
-                message = self._result_queue.get(timeout=remaining)
-            except Exception as exc:
-                raise RuntimeError("workers did not come up in time") from exc
-            if message[0] == "ready":
-                ready += 1
-            elif message[0] == "failed":
-                raise RuntimeError(f"worker {message[1]} failed to start: "
-                                   f"{message[2]}")
+                os.unlink(self._location)
+            except OSError:
+                pass
+        self._selector.close()
+        for end in self._wakeup:
+            end.close()
+
+    def _start_helper(self, name: str, target: Callable[[], None]) -> None:
+        """A short-lived thread for work that waits on loop events (only
+        the loop starts one; shutdown() joins them all)."""
+        self._helpers = [t for t in self._helpers if t.is_alive()]
+        self._helpers.append(threading.Thread(
+            target=target, name=f"repro-daemon-{name}", daemon=True))
+        self._helpers[-1].start()
 
     # ------------------------------------------------------------------
     # worker control channel: warm/retire broadcasts for hot-swap
     # ------------------------------------------------------------------
     def _broadcast_control(self, command: Dict[str, Any],
                            timeout: float = 120.0) -> Dict[int, tuple]:
-        """Send one control command to every live worker; gather the acks.
+        """Send one control command to every worker; gather the acks.
 
-        Returns ``{worker_id: (ok, detail)}``.  Workers that die while the
-        command is outstanding are recorded as failed instead of hanging
-        the broadcast — the monitor replaces them, and replacements come
-        up warm via the preload set.
+        Returns ``{worker_id: (ok, detail)}``.  Completes on loop events
+        only: each worker's ack, or the EOF of a worker that died, which
+        counts as a failure (its replacement comes up warm via preload).
         """
+        event = threading.Event()
         with self._lock:
-            targets = {worker_id: worker
-                       for worker_id, worker in self._pool.items()
-                       if worker.alive()}
-        if not targets:
-            raise RuntimeError("no live workers to control")
-        with self._control_lock:
+            if not self._running:
+                raise RuntimeError("daemon is not running")
             control_id = self._next_control_id
             self._next_control_id += 1
-            waiter = {"pending": set(targets), "results": {},
-                      "event": threading.Event()}
+            waiter = {"pending": set(self._pool), "results": {},
+                      "event": event}
             self._control_waiters[control_id] = waiter
+            for worker in self._pool.values():
+                self._send_locked(worker, ("control", control_id, command))
         try:
-            for worker_id, worker in targets.items():
-                try:
-                    worker.task_queue.put(("control", control_id, command))
-                except (OSError, ValueError):
-                    self._control_ack(worker_id, control_id, False,
-                                      "control channel closed")
-            deadline = time.monotonic() + timeout
-            while not waiter["event"].wait(0.2):
-                with self._lock:
-                    dead = [worker_id for worker_id in list(waiter["pending"])
-                            if worker_id not in self._pool
-                            or not self._pool[worker_id].alive()]
-                for worker_id in dead:
-                    self._control_ack(worker_id, control_id, False,
-                                      "worker died during control op")
-                if time.monotonic() > deadline:
-                    raise RuntimeError(
-                        f"control op {command.get('cmd')!r} timed out "
-                        f"waiting for workers {sorted(waiter['pending'])}")
+            if not event.wait(timeout) or waiter["pending"]:
+                raise RuntimeError(
+                    f"control op {command.get('cmd')!r} got no ack from "
+                    f"workers {sorted(waiter['pending'])}")
         finally:
-            with self._control_lock:
+            with self._lock:
                 self._control_waiters.pop(control_id, None)
         return dict(waiter["results"])
 
-    def _control_ack(self, worker_id: int, control_id: int, ok: bool,
-                     detail: str) -> None:
-        with self._control_lock:
-            waiter = self._control_waiters.get(control_id)
-            if waiter is None or worker_id not in waiter["pending"]:
-                return
-            waiter["pending"].discard(worker_id)
-            waiter["results"][worker_id] = (ok, detail)
-            if not waiter["pending"]:
-                waiter["event"].set()
+    def _settle_control_locked(self, worker_id: int, control_id: int,
+                               ok: bool, detail: str) -> None:
+        waiter = self._control_waiters.get(control_id)
+        if waiter is None or worker_id not in waiter["pending"]:
+            return
+        waiter["pending"].discard(worker_id)
+        waiter["results"][worker_id] = (ok, detail)
+        if not waiter["pending"]:
+            waiter["event"].set()
 
     def _warm_workers(self, model: str, version: int) -> None:
         """Warm-load one version on every worker (all must succeed)."""
@@ -618,110 +680,87 @@ class ServeDaemon:
         except RuntimeError:
             pass          # dead workers retire by dying
 
-    def _watch_loop(self) -> None:
-        """Poll the registry generation; hot-swap unpinned stale routes."""
-        while not self._stop_event.wait(self.watch_interval_s):
-            if not self._running or self._draining:
-                return
-            try:
-                self._lifecycle.check_registry()
-            except Exception:
-                continue      # registry hiccup: retry next tick
+    def _watch_tick(self) -> None:
+        """Hand a registry generation move to a helper that hot-swaps
+        (the lifecycle serialises swaps that overlap)."""
+        try:
+            moved = self._lifecycle.generation_moved()
+        except Exception:
+            return            # registry hiccup: keep serving what we have
+        if moved:
+            self._start_helper("watch", self._swap_stale)
+
+    def _swap_stale(self) -> None:
+        try:
+            self._lifecycle.swap_stale()
+        except Exception:
+            pass              # registry hiccup: keep serving what we have
 
     def shutdown(self, drain: bool = True, timeout: float = 120.0,
-                 _exempt_conn: Optional[socket.socket] = None,
                  _ack: Optional[Callable[[], None]] = None) -> None:
         """Stop the daemon; with ``drain`` outstanding work completes first.
 
-        Returns once every daemon thread has exited; a call racing a
-        shutdown in progress waits for it.  ``_ack`` (the ``shutdown`` op's
-        reply) runs just before the daemon counts as stopped.
+        Returns once the loop and every helper have exited and every
+        worker, pipe and socket is closed; a call racing a shutdown in
+        progress waits for it.  ``_ack`` (a ``shutdown`` op's reply) runs
+        just before the daemon counts as stopped.
         """
         with self._lock:
-            running = self._running
-            if running:
+            owner = self._running and not self._draining
+            if owner:
                 self._draining = True
-                if drain:
-                    deadline = time.monotonic() + timeout
-                    while (self._queued or self._inflight) and \
-                            time.monotonic() < deadline:
-                        self._work_available.notify_all()
-                        self._drained.wait(timeout=0.1)
-                self._running = False
-                self._stop_event.set()     # wakes the monitor and watch loops
-                pool = list(self._pool.values())
-                self._work_available.notify_all()
-        if not running:
+            elif _ack is not None and not self._stopped.is_set():
+                self._shutdown_acks.append(_ack)
+                return
+        if not owner:
             self._stopped.wait()
             if _ack is not None:
                 _ack()
             return
-        for worker in pool:
-            try:
-                worker.task_queue.put(("stop",))
-            except (OSError, ValueError):
-                pass
-        for worker in pool:
-            worker.process.join(timeout=10.0)
-            if worker.process.is_alive():
-                worker.process.terminate()
-                worker.process.join(timeout=5.0)
-        self._result_queue.put(("stop",))    # wakes the collector
-        if self._listener is not None:
-            # wake the accept thread before closing: a close() alone leaves
-            # it blocked in accept(), and the in-kernel reference it holds
-            # keeps the port in LISTEN after we exit (EADDRINUSE on restart)
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        if self.scheme == "unix" and os.path.exists(self._location):
-            try:
-                os.unlink(self._location)
-            except OSError:
-                pass
-        # fail anything still queued (drain=False or drain timeout)
+        # the loop exits once drained; past the timeout (or without a
+        # drain) it stops with work outstanding
+        self._wakeup[1].send(b"\0")
+        self._loop_thread.join(timeout if drain else 0.0)
         with self._lock:
-            leftovers = [request for pending in self._routes.values()
+            self._running = False
+        self._wakeup[1].send(b"\0")
+        self._loop_thread.join()
+        with self._lock:
+            for worker in self._pool.values():
+                self._send_locked(worker, ("stop",))
+        self._release()
+        # fail anything still queued (drain=False or drain timeout) and
+        # every control op still waiting on a worker
+        with self._lock:
+            leftovers = [request for queue in (self._routes,
+                                               self._shadow_routes,
+                                               self._inflight)
+                         for pending in queue.values()
                          for request in pending]
-            leftovers.extend(request
-                             for pending in self._shadow_routes.values()
-                             for request in pending)
-            for batch in self._inflight.values():
-                leftovers.extend(batch)
             self._routes.clear()
             self._shadow_routes.clear()
             self._inflight.clear()
             self._queued = 0
             self._shadow_queued = 0
+            for waiter in self._control_waiters.values():
+                waiter["event"].set()      # unacked: the broadcast fails
         for request in leftovers:
             request.reply(error_response(request.request_id,
                                          ERR_SHUTTING_DOWN,
                                          "daemon stopped before this "
                                          "request completed"))
-        # hang up on connected clients so they observe the stop instead of
-        # talking to a zombie; the connection that requested the shutdown
-        # is exempted so its ack can still be delivered
-        with self._conns_lock:
-            open_conns = [conn for conn in self._conns
-                          if conn is not _exempt_conn]
-        for conn in open_conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        # every loop has been woken above (listener shut down, dispatcher
-        # notified, stop event set); return only once they have exited
         current = threading.current_thread()
-        for thread in self._threads:
+        for thread in self._helpers:
             if thread is not current:
                 thread.join()
-        if _ack is not None:
-            _ack()
+        for ack in [_ack, *self._shutdown_acks]:
+            if ack is not None:
+                ack()
+        self._shutdown_acks = []
+        # hang up on clients: they observe the stop, not a zombie
+        for client in self._clients:
+            client.close()
+        self._clients.clear()
         self._stopped.set()
 
     def __enter__(self) -> "ServeDaemon":
@@ -731,72 +770,109 @@ class ServeDaemon:
         self.shutdown()
 
     # ------------------------------------------------------------------
-    # front-end: connections and admission control
+    # the loop: sockets and worker pipes in, admissions and batches out
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
+    def _loop(self) -> None:
+        watch = self._lifecycle is not None and self.watch_interval_s > 0
+        next_watch = time.monotonic() + self.watch_interval_s
         while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            if self.scheme == "tcp":
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP,
-                                    socket.TCP_NODELAY, 1)
-                    # let a restarted daemon rebind this port while old
-                    # client connections are still draining
-                    conn.setsockopt(socket.SOL_SOCKET,
-                                    socket.SO_REUSEADDR, 1)
-                except OSError:
-                    pass
-            thread = threading.Thread(target=self._connection_loop,
-                                      args=(conn,),
-                                      name="repro-daemon-conn", daemon=True)
-            thread.start()
+            watching = watch and not self._draining
+            timeout = (max(0.0, next_watch - time.monotonic()) if watching
+                       else None)
+            for key, _ in self._selector.select(timeout):
+                handler, source = key.data
+                handler(source)
+                if self._dispatch():
+                    return                # drained: shutdown() takes over
+            if watching and time.monotonic() >= next_watch:
+                next_watch = time.monotonic() + self.watch_interval_s
+                self._watch_tick()
 
-    def _connection_loop(self, conn: socket.socket) -> None:
-        channel = LineChannel(conn)
-        write_lock = threading.Lock()
-        with self._conns_lock:
-            self._conns.add(conn)
+    def _dispatch(self) -> bool:
+        """Hand batches to idle workers; True once a drain has finished."""
+        with self._lock:
+            while (assignment := self._form_batch_locked()) is not None:
+                worker, batch_id, _, payloads = assignment
+                self._send_locked(worker, ("batch", batch_id, payloads))
+            return self._draining and not self._queued and not self._inflight
 
-        def reply(document: Dict[str, Any]) -> None:
-            try:
-                with write_lock:
-                    channel.send(document)
-            except OSError:
-                pass                  # client went away; nothing to tell it
-
+    @staticmethod
+    def _send_locked(worker: _Worker, message: tuple) -> None:
         try:
-            while True:
-                try:
-                    document = channel.recv()
-                except ProtocolError as exc:
-                    reply(error_response(None, ERR_BAD_REQUEST, str(exc)))
-                    return
-                except OSError:
-                    return
-                if document is None:
-                    return
-                self._handle_request(document, reply, conn)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            channel.close()
+            worker.conn.send(message)
+        except (OSError, ValueError):
+            pass          # a dead worker: EOF on its pipe retries the batch
 
-    def _handle_request(self, document: Dict[str, Any], reply,
-                        conn: Optional[socket.socket] = None) -> None:
+    def _accept(self, listener: socket.socket) -> None:
+        try:
+            sock, _ = listener.accept()
+        except OSError:
+            return                    # the peer gave up before the accept
+        sock.setblocking(True)
+        if self.scheme == "tcp":
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                # let a restarted daemon rebind this port while old client
+                # connections are still draining
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            except OSError:
+                pass
+        client = _Client(sock)
+        self._clients.add(client)
+        self._selector.register(sock, selectors.EVENT_READ,
+                                (self._read_client, client))
+
+    def _read_client(self, client: _Client) -> None:
+        """Admit every complete request line the client has sent.  A frame
+        that cannot be parsed or handled hangs up on this client only."""
+        try:
+            chunk = client.sock.recv(65536)
+        except OSError:
+            chunk = b""
+        try:
+            client.feed(chunk)
+            while (document := client.pop()) is not None:
+                self._handle_request(document, client)
+        except Exception as exc:
+            # bad framing, or a frame that broke its handler: answer and
+            # hang up on this client; the loop serves every other one
+            client.reply(error_response(None, ERR_BAD_REQUEST, str(exc)))
+            chunk = b""
+        if not chunk:
+            self._selector.unregister(client.sock)
+            self._clients.discard(client)
+            client.close()
+
+    def _read_worker(self, worker: _Worker) -> None:
+        """Take one worker message; EOF means the worker died."""
+        try:
+            message = worker.conn.recv()
+        except (EOFError, OSError):
+            self._worker_lost(worker)
+            return
+        if message[0] == "done":
+            self._complete(worker, *message[1:])
+            return
+        with self._lock:
+            if message[0] == "ready":
+                worker.busy_with = None
+            elif message[0] == "control_done":
+                self._settle_control_locked(worker.worker_id, *message[1:])
+        # "failed" (a healed worker's preload): its EOF follows
+
+    def _handle_request(self, document: Dict[str, Any],
+                        client: _Client) -> None:
+        reply = client.reply
+        with self._lock:
+            self._received += 1
         try:
             request_id, op = validate_request(document)
         except ProtocolError as exc:
             reply(error_response(document.get("id"), ERR_BAD_REQUEST,
                                  str(exc)))
-            with self._stats_lock:
-                self._received += 1
+            with self._lock:
                 self._errors += 1
             return
-        with self._stats_lock:
-            self._received += 1
         if op == "ping":
             reply(ok_response(request_id, {"pong": True}))
             return
@@ -804,22 +880,18 @@ class ServeDaemon:
             reply(ok_response(request_id, self.stats()))
             return
         if op == "shutdown":
-            # drain on a helper thread so this connection's reader keeps
-            # the reply path alive until outstanding work has finished
-            def drain_and_ack():
-                self.shutdown(drain=bool(document.get("drain", True)),
-                              _exempt_conn=conn,
-                              _ack=lambda: reply(ok_response(
-                                  request_id, {"stopped": True})))
-            threading.Thread(target=drain_and_ack,
-                             name="repro-daemon-shutdown",
-                             daemon=True).start()
+            # drain on a helper so the loop keeps serving the outstanding
+            # work; the ack goes out once the daemon has stopped
+            drain = bool(document.get("drain", True))
+            self._start_helper("shutdown", lambda: self.shutdown(
+                drain=drain, _ack=lambda: reply(ok_response(
+                    request_id, {"stopped": True}))))
             return
         if op in ADMIN_OPS:
-            # swap/shadow run synchronously on this connection's thread:
-            # the warm broadcast completes via the collector thread, and
+            # swap/shadow wait on worker acks, which only the loop reads;
             # the caller gets a deterministic done/failed answer
-            self._handle_admin(request_id, op, document, reply)
+            self._start_helper(op, lambda: self._handle_admin(
+                request_id, op, document, reply))
             return
         self._admit(_PendingRequest(request_id, op, document, reply,
                                     self._route_of(document, op)))
@@ -830,7 +902,7 @@ class ServeDaemon:
             reply(error_response(request_id, ERR_NO_REGISTRY,
                                  "daemon was started without --root; "
                                  "online operations need a model registry"))
-            with self._stats_lock:
+            with self._lock:
                 self._errors += 1
             return
         try:
@@ -858,10 +930,11 @@ class ServeDaemon:
                     result = self._lifecycle.shadow_stop(document["model"])
                 else:
                     result = self._lifecycle.shadow_status(document["model"])
-        except (SwapError, KeyError, ValueError, RuntimeError) as exc:
+        except (SwapError, KeyError, TypeError, ValueError,
+                RuntimeError) as exc:
             reply(error_response(request_id, ERR_BAD_REQUEST,
                                  f"{type(exc).__name__}: {exc}"))
-            with self._stats_lock:
+            with self._lock:
                 self._errors += 1
             return
         reply(ok_response(request_id, result))
@@ -883,40 +956,18 @@ class ServeDaemon:
                 shed_code, message = ERR_OVERLOADED, \
                     f"request queue is full ({self._queued} waiting)"
             else:
-                pending = self._routes.get(request.route)
-                if pending is None:
-                    pending = self._routes.setdefault(request.route,
-                                                      collections.deque())
-                pending.append(request)
+                self._routes.setdefault(
+                    request.route, collections.deque()).append(request)
                 self._queued += 1
-                self._work_available.notify_all()
                 return
             depth = self._queued
-        with self._stats_lock:
             self._shed += 1
         request.reply(error_response(request.request_id, shed_code,
                                      message, queue_depth=depth))
 
     # ------------------------------------------------------------------
-    # dispatcher: work-conserving batch formation
+    # dispatch rule: work-conserving batch formation (clock-free)
     # ------------------------------------------------------------------
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                if not self._running:
-                    return
-                assignment = self._form_batch_locked()
-                if assignment is None:
-                    # nothing to dispatch until an admission, a finished
-                    # batch or a healed worker notifies
-                    self._work_available.wait(0.5)
-                    continue
-                worker, batch_id, _, payloads = assignment
-            try:
-                worker.task_queue.put(("batch", batch_id, payloads))
-            except (OSError, ValueError):
-                pass        # dead worker: the monitor reassigns the batch
-
     def _form_batch_locked(self):
         """Pop the next batch and assign it to an idle worker, or ``None``.
 
@@ -986,12 +1037,8 @@ class ServeDaemon:
                 and self._lifecycle is not None):
             active = self._lifecycle.resolve(route[1])
             if active is not None:
-                stamped = []
-                for request in batch:
-                    payload = dict(request.payload)
-                    payload["version"] = active
-                    stamped.append(payload)
-                return stamped
+                return [dict(request.payload, version=active)
+                        for request in batch]
         return [request.payload for request in batch]
 
     def _note_shadow_contention_locked(self) -> None:
@@ -1008,96 +1055,91 @@ class ServeDaemon:
                     self._shadow_contention += 1
 
     # ------------------------------------------------------------------
-    # collector: worker results back to the connections
+    # worker messages: results back to the connections, pool healing
     # ------------------------------------------------------------------
-    def _collect_loop(self) -> None:
-        while True:
-            try:
-                message = self._result_queue.get(timeout=0.1)
-            except Exception:
-                if not self._running:
-                    return
-                continue
-            if message[0] == "stop":
-                return
-            if message[0] == "ready":
-                continue              # a healed worker came up
-            if message[0] == "control_done":
-                _, worker_id, control_id, ok, detail = message
-                self._control_ack(worker_id, control_id, ok, detail)
-                continue
-            if message[0] != "done":
-                continue
-            _, worker_id, batch_id, results, extras = message
-            for label, snapshot in (extras.get("drift") or {}).items():
-                self._drift.update(worker_id, label, snapshot)
-            with self._lock:
-                batch = self._inflight.pop(batch_id, None)
-                shadow = batch_id in self._shadow_batch_ids
-                self._shadow_batch_ids.discard(batch_id)
-                worker = self._pool.get(worker_id)
-                if worker is not None and worker.busy_with == batch_id:
-                    worker.busy_with = None
-                self._work_available.notify_all()
-                if not self._queued and not self._inflight:
-                    self._drained.notify_all()
-            if batch is None:
-                continue              # already failed over by the monitor
-            self._deliver(batch, results, worker_id, batch_id,
-                          shadow=shadow)
-
-    def _deliver(self, batch: List[_PendingRequest],
-                 results: List[Dict[str, Any]], worker_id: int,
-                 batch_id: int, shadow: bool = False) -> None:
-        if shadow:
-            # off the books: shadow answers only feed the diff report (the
-            # reply closures), never latency/throughput accounting
-            with self._stats_lock:
-                self._shadow_batch_count += 1
-            for request, outcome in zip(batch, results):
-                if outcome.get("ok"):
-                    request.reply(ok_response(request.request_id,
-                                              dict(outcome["result"])))
-                else:
-                    error = outcome.get("error") or {}
-                    request.reply(error_response(
-                        request.request_id,
-                        error.get("code", ERR_INTERNAL),
-                        error.get("message", "")))
-            return
+    def _complete(self, worker: _Worker, batch_id: int,
+                  results: List[Dict[str, Any]],
+                  extras: Dict[str, Any]) -> None:
+        """A finished batch: account for it, then answer its requests."""
+        for label, snapshot in (extras.get("drift") or {}).items():
+            self._drift.update(worker.worker_id, label, snapshot)
         now = time.perf_counter()
-        with self._stats_lock:
-            size = len(batch)
-            self._batch_histogram[size] = \
-                self._batch_histogram.get(size, 0) + 1
-        for request, outcome in zip(batch, results):
-            latency_ms = 1e3 * (now - request.enqueued_at)
-            # account BEFORE replying: a client that reads /stats right
-            # after its response must see its own request counted
-            with self._stats_lock:
-                self._completed += 1
-                self._errors += int(not outcome.get("ok"))
-                self._latencies.append(latency_ms)
-                if outcome.get("ok"):
-                    # answered requests only: failed ones may name any
-                    # model, and the key set must stay bounded
-                    model = request.payload.get("model", request.op)
-                    self._per_model[model] = \
-                        self._per_model.get(model, 0) + 1
-            if outcome.get("ok"):
-                result = dict(outcome["result"])
-                result["latency_ms"] = latency_ms
-                result["worker"] = worker_id
-                result["batch"] = batch_id
-                request.reply(ok_response(request.request_id, result))
-                self._maybe_tee_shadow(request, result)
+        with self._lock:
+            batch = self._inflight.pop(batch_id)
+            shadow = batch_id in self._shadow_batch_ids
+            self._shadow_batch_ids.discard(batch_id)
+            worker.busy_with = None
+            # shadow answers only feed the diff report (their reply
+            # closures); live ones are accounted BEFORE replying, so a client
+            # reading /stats right after its response sees itself counted
+            if shadow:
+                self._shadow_batch_count += 1
             else:
+                self._batch_histogram[len(batch)] = \
+                    self._batch_histogram.get(len(batch), 0) + 1
+                for request, outcome in zip(batch, results):
+                    self._completed += 1
+                    self._errors += int(not outcome.get("ok"))
+                    self._latencies.append(1e3 * (now - request.enqueued_at))
+                    if outcome.get("ok"):
+                        # answered requests only: failed ones may name any
+                        # model, and the key set must stay bounded
+                        model = request.payload.get("model", request.op)
+                        self._per_model[model] = \
+                            self._per_model.get(model, 0) + 1
+        for request, outcome in zip(batch, results):
+            if not outcome.get("ok"):
                 error = outcome.get("error") or {"code": ERR_INTERNAL,
                                                  "message": "worker returned "
                                                             "no result"}
                 request.reply(error_response(request.request_id,
                                              error.get("code", ERR_INTERNAL),
                                              error.get("message", "")))
+                continue
+            result = dict(outcome["result"])
+            if not shadow:
+                result["latency_ms"] = 1e3 * (now - request.enqueued_at)
+                result["worker"] = worker.worker_id
+                result["batch"] = batch_id
+            request.reply(ok_response(request.request_id, result))
+            if not shadow:
+                self._maybe_tee_shadow(request, result)
+
+    def _worker_lost(self, worker: _Worker) -> None:
+        """EOF on a worker's pipe: retry or fail its batch, heal the pool."""
+        self._selector.unregister(worker.conn)
+        worker.reap()
+        failed: List[_PendingRequest] = []
+        with self._lock:
+            del self._pool[worker.worker_id]
+            self._worker_restarts += 1
+            for control_id in list(self._control_waiters):
+                self._settle_control_locked(worker.worker_id, control_id,
+                                            False, "worker died during "
+                                                   "control op")
+            shadow = worker.busy_with in self._shadow_batch_ids
+            self._shadow_batch_ids.discard(worker.busy_with)
+            for request in self._inflight.pop(worker.busy_with, []):
+                request.attempts += 1
+                if (shadow or request.op == "_crash"
+                        or request.attempts >= MAX_ATTEMPTS):
+                    failed.append(request)
+                else:
+                    # retry at the front of its route: it has already waited
+                    self._routes.setdefault(
+                        request.route, collections.deque()).appendleft(request)
+                    self._queued += 1
+                    self._retried += 1
+            self._drift.forget_worker(worker.worker_id)
+            self._spawn_worker_locked()
+            if not shadow:      # shadow work is best-effort, off the books
+                self._completed += len(failed)
+                self._errors += len(failed)
+        noun = "shadow request" if shadow else "request"
+        for request in failed:
+            request.reply(error_response(
+                request.request_id, ERR_WORKER_CRASHED,
+                f"worker process died while executing this {noun}"))
 
     # ------------------------------------------------------------------
     # shadow deploys: tee answered live requests to the candidate
@@ -1126,103 +1168,26 @@ class ServeDaemon:
                                  payload, record,
                                  ("shadow", model, int(candidate)))
         with self._lock:
-            if (not self._running or self._draining
-                    or self._shadow_queued >= self.max_queue):
-                dropped = True
-            else:
-                dropped = False
-                pending = self._shadow_routes.setdefault(
-                    shadow.route, collections.deque())
-                pending.append(shadow)
+            dropped = (not self._running or self._draining
+                       or self._shadow_queued >= self.max_queue)
+            if not dropped:
+                self._shadow_routes.setdefault(
+                    shadow.route, collections.deque()).append(shadow)
                 self._shadow_queued += 1
-                self._work_available.notify_all()
         if dropped:
             lifecycle.record_shadow_dropped(model, candidate)
 
     # ------------------------------------------------------------------
-    # monitor: worker crash detection, retry and pool healing
-    # ------------------------------------------------------------------
-    def _monitor_loop(self) -> None:
-        while True:
-            self._stop_event.wait(0.05)
-            with self._lock:
-                if not self._running:
-                    return
-                dead = [worker for worker in self._pool.values()
-                        if not worker.alive()]
-                recovered: List[_PendingRequest] = []
-                failed: List[_PendingRequest] = []
-                shadow_failed: List[_PendingRequest] = []
-                for worker in dead:
-                    del self._pool[worker.worker_id]
-                    self._worker_restarts += 1
-                    if worker.busy_with is not None:
-                        was_shadow = worker.busy_with in self._shadow_batch_ids
-                        self._shadow_batch_ids.discard(worker.busy_with)
-                        batch = self._inflight.pop(worker.busy_with, [])
-                        for request in batch:
-                            if was_shadow:
-                                # shadow work is best-effort: never retried,
-                                # never counted against live traffic
-                                shadow_failed.append(request)
-                                continue
-                            request.attempts += 1
-                            if (request.op == "_crash"
-                                    or request.attempts >= MAX_ATTEMPTS):
-                                failed.append(request)
-                            else:
-                                recovered.append(request)
-                    self._drift.forget_worker(worker.worker_id)
-                    self._spawn_worker_locked()
-                for request in recovered:
-                    # retry at the front of its route: it has already waited
-                    pending = self._routes.setdefault(request.route,
-                                                      collections.deque())
-                    pending.appendleft(request)
-                    self._queued += 1
-                if recovered or dead:
-                    self._work_available.notify_all()
-            for request in shadow_failed:
-                request.reply(error_response(
-                    request.request_id, ERR_WORKER_CRASHED,
-                    "worker process died while executing shadow request"))
-            for request in failed:
-                with self._stats_lock:
-                    self._completed += 1
-                    self._errors += 1
-                request.reply(error_response(
-                    request.request_id, ERR_WORKER_CRASHED,
-                    "worker process died while executing this request"))
-            if recovered:
-                with self._stats_lock:
-                    self._retried += len(recovered)
-
-    # ------------------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
         """Queue depth, batch-size histogram, latency percentiles, workers."""
-        with self._lock:
-            queue_depth = self._queued
-            per_route = {route_label(route): len(pending)
-                         for route, pending in self._routes.items()
-                         if pending}
-            inflight = {batch_id: len(batch)
-                        for batch_id, batch in self._inflight.items()}
-            alive = sum(worker.alive() for worker in self._pool.values())
-            shadow_depth = self._shadow_queued
-            shadow_contention = self._shadow_contention
+        lifecycle_stats, shadow_routes, shadow_finished = None, {}, {}
         if self._lifecycle is not None:
-            lifecycle_stats: Optional[Dict[str, Any]] = {
-                "enabled": True,
-                "watch_interval_s": self.watch_interval_s,
-            }
-            lifecycle_stats.update(self._lifecycle.stats())
+            lifecycle_stats = {"enabled": True,
+                               "watch_interval_s": self.watch_interval_s,
+                               **self._lifecycle.stats()}
             shadow_routes = self._lifecycle.shadow_stats()
             shadow_finished = self._lifecycle.finished_shadow_stats()
-        else:
-            lifecycle_stats = None
-            shadow_routes = {}
-            shadow_finished = {}
-        with self._stats_lock:
+        with self._lock:
             histogram = dict(sorted(self._batch_histogram.items()))
             batches = sum(histogram.values())
             batched = sum(size * count for size, count in histogram.items())
@@ -1231,12 +1196,17 @@ class ServeDaemon:
                 "uptime_s": time.perf_counter() - self._started_at,
                 "address": self.address,
                 "transport": self.scheme,
-                "workers": {"configured": self.workers, "alive": alive,
+                "workers": {"configured": self.workers,
+                            "alive": sum(worker.alive()
+                                         for worker in self._pool.values()),
                             "restarts": self._worker_restarts},
-                "queue": {"depth": queue_depth, "max_queue": self.max_queue,
-                          "per_route": per_route,
-                          "inflight_requests": sum(inflight.values()),
-                          "inflight_batches": len(inflight)},
+                "queue": {"depth": self._queued, "max_queue": self.max_queue,
+                          "per_route": {route_label(route): len(pending)
+                                        for route, pending
+                                        in self._routes.items()},
+                          "inflight_requests": sum(
+                              map(len, self._inflight.values())),
+                          "inflight_batches": len(self._inflight)},
                 "requests": {"received": self._received,
                              "completed": self._completed,
                              "errors": self._errors,
@@ -1263,9 +1233,9 @@ class ServeDaemon:
                 "shadow": {
                     "routes": shadow_routes,
                     "finished": shadow_finished,
-                    "queue_depth": shadow_depth,
+                    "queue_depth": self._shadow_queued,
                     "batches": self._shadow_batch_count,
-                    "contention": shadow_contention,
+                    "contention": self._shadow_contention,
                 },
                 "drift": {"routes": self._drift.stats()},
             }

@@ -4,9 +4,10 @@ The daemon's routes were static until this module: whatever version a
 worker resolved at load time was what the route served until restart.
 :class:`LifecycleManager` makes the version a *managed pointer*:
 
-* **Registry watch** — :meth:`check_registry` polls the registry's
+* **Registry watch** — :meth:`generation_moved` polls the registry's
   ``GENERATION`` stamp (bumped atomically by every publish).  When it
-  moves, every *unpinned* route whose ``latest`` changed is hot-swapped.
+  moves, :meth:`swap_stale` hot-swaps every *unpinned* route whose
+  ``latest`` changed.
 * **Hot-swap** — :meth:`swap` warm-loads the target version on every
   worker **before** flipping the route pointer, so the flip is a pure
   in-memory rename between micro-batches: requests already dispatched
@@ -277,16 +278,20 @@ class LifecycleManager:
     # ------------------------------------------------------------------
     # registry watch
     # ------------------------------------------------------------------
-    def check_registry(self) -> List[Dict[str, Any]]:
-        """One watcher tick: swap unpinned routes if the generation moved."""
+    def generation_moved(self) -> bool:
+        """One watch tick: count it; True once per registry generation move."""
         if self.registry is None:
-            return []
+            return False
         generation = self.registry.generation()
         with self._lock:
             self._checks += 1
-            if generation == self._last_generation:
-                return []
+            moved = generation != self._last_generation
             self._last_generation = generation
+        return moved
+
+    def swap_stale(self) -> List[Dict[str, Any]]:
+        """Swap every unpinned route whose registry latest moved on."""
+        with self._lock:
             stale = [(state.model, state.active_version)
                      for state in self._routes.values() if not state.pinned]
         swapped = []
@@ -404,8 +409,8 @@ class LifecycleManager:
                                          "version")}})
             action = self._policy_action_locked(state)
         if action is not None:
-            # promotion is a swap (a warm broadcast that completes on the
-            # same collector thread this method runs on) — run it async
+            # promotion is a swap (a warm broadcast that completes on
+            # events of the daemon loop this method runs on) — run it async
             threading.Thread(target=self._auto_action, name="repro-shadow-"
                              + action, args=(action, model, candidate),
                              daemon=True).start()

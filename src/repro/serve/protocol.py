@@ -210,10 +210,12 @@ def ok_response(request_id, result: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# framed socket I/O (shared by the daemon's connections and the client)
+# framed socket I/O (shared by the daemon's loop, the client and the router)
 # ----------------------------------------------------------------------
 class LineChannel:
-    """Buffered newline framing over one connected socket."""
+    """Buffered newline framing over one connected socket.  :meth:`recv`
+    and the daemon's selector loop share one parser: :meth:`feed`/:meth:`pop`.
+    """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
@@ -234,16 +236,29 @@ class LineChannel:
     def recv(self, timeout: Optional[float] = None) -> Optional[Dict[str, Any]]:
         """The next decoded frame, or ``None`` on a clean EOF."""
         self.sock.settimeout(timeout)
-        while b"\n" not in self._buffer:
+        while True:
+            document = self.pop()
+            if document is not None:
+                return document
+            chunk = self.sock.recv(65536)
+            self.feed(chunk)
+            if not chunk:
+                return None
+
+    def feed(self, chunk: bytes) -> None:
+        """Buffer received bytes; an empty ``chunk`` is the peer's EOF."""
+        if not chunk and self._buffer:
+            raise ProtocolError("connection closed mid-frame")
+        self._buffer += chunk
+
+    def pop(self) -> Optional[Dict[str, Any]]:
+        """The next complete buffered frame, or ``None`` if there is none."""
+        line, newline, rest = self._buffer.partition(b"\n")
+        if not newline:
             if len(self._buffer) > MAX_LINE_BYTES:
                 raise ProtocolError("frame exceeds the line size limit")
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                if self._buffer:
-                    raise ProtocolError("connection closed mid-frame")
-                return None
-            self._buffer += chunk
-        line, self._buffer = self._buffer.split(b"\n", 1)
+            return None
+        self._buffer = rest
         return decode_frame(line)
 
     def close(self) -> None:
@@ -342,12 +357,12 @@ def validate_request(document: Dict[str, Any]) -> Tuple[Any, str]:
     if (op not in BATCHED_OPS and op not in INLINE_OPS
             and op not in ADMIN_OPS and op not in FLEET_OPS):
         raise ProtocolError(f"unknown op {op!r}")
-    if op in ADMIN_OPS:
-        if not isinstance(document.get("model"), str):
-            raise ProtocolError(f"op {op!r} requires a string 'model' field")
-        if document.get("version") is not None and \
-                not isinstance(document.get("version"), int):
-            raise ProtocolError(f"op {op!r} 'version' must be an integer")
+    if op in ADMIN_OPS and not isinstance(document.get("model"), str):
+        raise ProtocolError(f"op {op!r} requires a string 'model' field")
+    if (op in ADMIN_OPS or op in ("tune", "map")) and \
+            document.get("version") is not None and \
+            not isinstance(document.get("version"), int):
+        raise ProtocolError(f"op {op!r} 'version' must be an integer")
     if op == "shadow":
         action = document.get("action", "status")
         if action not in ("start", "stop", "status"):

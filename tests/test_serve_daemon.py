@@ -2,6 +2,7 @@
 
 import json
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -185,14 +186,82 @@ class TestDaemonFailurePaths:
                     assert err.value.code == "bad_request"
                 assert client.ping()     # daemon is still healthy
 
+    def test_unhandled_frame_hangs_up_on_its_client_only(self,
+                                                         monkeypatch):
+        """A frame that breaks its handler is answered and closes that one
+        connection; the loop keeps serving every other client."""
+        path = _socket_path()
+        with ServeDaemon(path, workers=1, max_batch=1,
+                         debug_ops=True) as daemon, \
+                DaemonClient(path, timeout=30) as bystander:
+            with DaemonClient(path, timeout=30) as client:
+                with pytest.raises(DaemonError) as err:
+                    client.request({"op": "tune", "model": "m",
+                                    "kernel": "k", "version": [1]})
+                assert err.value.code == "bad_request"
+
+            def broken_route(document, op):
+                raise TypeError("unhashable route")
+
+            monkeypatch.setattr(daemon, "_route_of", broken_route)
+            raw = socket.socket(socket.AF_UNIX)
+            raw.settimeout(30)
+            raw.connect(path)
+            raw.sendall(b'{"op": "_sleep", "seconds": 0}\n')
+            response = json.loads(raw.recv(65536).split(b"\n")[0])
+            assert response["error"]["code"] == "bad_request"
+            assert raw.recv(65536) == b""          # hung up on
+            raw.close()
+            monkeypatch.undo()
+
+            assert bystander.ping()
+            assert bystander.request({"op": "_sleep",
+                                      "seconds": 0.0})["slept"] == 0.0
+
     def test_shutdown_joins_loop_threads(self):
-        """``shutdown()`` returns only after the daemon's loops exited."""
-        before = set(threading.enumerate())
-        daemon = ServeDaemon(_socket_path(), workers=1, max_batch=1).start()
-        daemon.shutdown()
-        leaked = [t.name for t in threading.enumerate()
-                  if t not in before and t.name.startswith("repro-daemon-")]
-        assert leaked == []
+        """``shutdown()`` returns only after every thread it started has
+        exited, with a client still connected, and leaves no fd behind."""
+        def cycle():
+            before = set(threading.enumerate())
+            daemon = ServeDaemon(_socket_path(), workers=1,
+                                 max_batch=1).start()
+            client = DaemonClient(daemon.address)
+            try:
+                assert client.ping()
+                daemon.shutdown()
+                return [t.name for t in threading.enumerate()
+                        if t not in before]
+            finally:
+                client.close()
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        assert cycle() == []              # the warm-up cycle
+        opened = open_fds()
+        assert cycle() == []
+        assert open_fds() == opened
+
+    def test_start_fails_fast_when_a_worker_exits_before_ready(
+            self, monkeypatch):
+        def children():
+            pids = set()
+            for task in os.listdir("/proc/self/task"):
+                with open(f"/proc/self/task/{task}/children") as f:
+                    pids.update(f.read().split())
+            return pids
+
+        monkeypatch.setattr(daemon_module, "_worker_main",
+                            lambda *args: os._exit(3))
+        path = _socket_path()
+        before = children()
+        daemon = ServeDaemon(path, workers=2, mp_start_method="fork")
+        started = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"worker \d+ exited"):
+            daemon.start(ready_timeout=30)
+        assert time.monotonic() - started < 5.0
+        assert children() == before          # every worker reaped
+        assert not os.path.exists(path)
 
     def test_queue_overflow_sheds_with_structured_response(self):
         path = _socket_path()
@@ -269,6 +338,18 @@ class TestDaemonFailurePaths:
             assert stats["workers"]["restarts"] >= 1
             assert stats["requests"]["retried"] >= 1
             with DaemonClient(path) as client:       # and still serves
+                assert client.request({"op": "_sleep",
+                                       "seconds": 0.0})["slept"] == 0.0
+
+    def test_idle_worker_sigkill_is_replaced_without_traffic(self):
+        path = _socket_path()
+        with ServeDaemon(path, workers=2, max_batch=1,
+                         debug_ops=True) as daemon:
+            victim = list(daemon._pool.values())[0].process.pid
+            os.kill(victim, signal.SIGKILL)
+            _wait_for(lambda: daemon.stats()["workers"]["restarts"] == 1)
+            _wait_for(lambda: daemon.stats()["workers"]["alive"] == 2)
+            with DaemonClient(path) as client:
                 assert client.request({"op": "_sleep",
                                        "seconds": 0.0})["slept"] == 0.0
 
@@ -591,6 +672,8 @@ class TestProtocol:
         from repro.serve.protocol import ProtocolError, validate_request
         for document in ({}, {"op": 3}, {"op": "tune", "model": "m"},
                          {"op": "map", "model": "m", "kernel": "k"},
+                         {"op": "tune", "model": "m", "kernel": "k",
+                          "version": [1]},
                          {"op": "session"}):
             with pytest.raises(ProtocolError):
                 validate_request(document)
