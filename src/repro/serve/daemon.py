@@ -76,9 +76,10 @@ from repro.serve.protocol import (
     ERR_OVERLOADED,
     ERR_SHUTTING_DOWN,
     ERR_WORKER_CRASHED,
-    LineChannel,
+    ClientConnection,
+    FrontEnd,
     ProtocolError,
-    connect_address,
+    close_listener,
     create_listener,
     error_response,
     format_address,
@@ -370,32 +371,6 @@ class _Worker:
             self.process.close()
 
 
-class _Client(LineChannel):
-    """One accepted connection.  The loop and an admin helper may both
-    answer it, so each reply goes out whole (a blocking ``sendall``) under
-    ``write_lock``."""
-
-    def __init__(self, sock: socket.socket):
-        super().__init__(sock)
-        self.write_lock = threading.Lock()
-
-    def reply(self, document: Dict[str, Any]) -> None:
-        try:
-            with self.write_lock:
-                self.send(document)
-        except OSError:
-            pass                      # client went away; nothing to tell it
-
-    def close(self) -> None:
-        # a worker forked while this client was connected holds a copy of
-        # the socket: without a shutdown, close() would not hang up
-        try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        super().close()
-
-
 class ServeDaemon:
     """Socket front-end + dispatch rule + healing worker pool, driven by
     one selector loop (see module doc)."""
@@ -443,8 +418,7 @@ class ServeDaemon:
         self._next_worker_id = 0
         self._listener: Optional[socket.socket] = None
         self._selector: Optional[selectors.BaseSelector] = None
-        self._wakeup: Tuple[socket.socket, ...] = ()   # (loop end, waker)
-        self._clients: set = set()
+        self._front: Optional[FrontEnd] = None
         self._loop_thread: Optional[threading.Thread] = None
         self._helpers: List[threading.Thread] = []
         self._running = False
@@ -504,21 +478,9 @@ class ServeDaemon:
         """Bind the socket, spawn + warm the workers, start the loop."""
         if self._running:
             raise RuntimeError("daemon already started")
-        if self.scheme == "unix" and os.path.exists(self._location):
-            # a crashed daemon leaves a dead socket file behind — but a
-            # *live* one must not be hijacked: probe before unlinking
-            try:
-                probe = connect_address(self.address, timeout=1.0)
-            except OSError:
-                os.unlink(self._location)        # stale: nobody listening
-            else:
-                probe.close()
-                raise RuntimeError(
-                    f"another daemon is already serving {self.address}")
         # bind before spawning: a refused bind must not leak worker processes
         self._listener, self.address = create_listener(self.address)
         self._selector = selectors.DefaultSelector()
-        self._wakeup = socket.socketpair()
         try:
             with self._lock:
                 for _ in range(self.workers):
@@ -529,12 +491,8 @@ class ServeDaemon:
                 worker.process.terminate()
             self._release()
             raise
-        self._listener.setblocking(False)
-        self._selector.register(self._listener, selectors.EVENT_READ,
-                                (self._accept, self._listener))
-        self._selector.register(self._wakeup[0], selectors.EVENT_READ,
-                                (lambda sock: sock.recv(4096),
-                                 self._wakeup[0]))
+        self._front = FrontEnd(self._selector, self._listener,
+                               self._handle_request)
         self._running, self._draining = True, False
         self._stopped.clear()
         self._started_at = time.perf_counter()
@@ -598,15 +556,8 @@ class ServeDaemon:
             worker.reap()
         with self._lock:
             self._pool.clear()
-        self._listener.close()
-        if self.scheme == "unix" and os.path.exists(self._location):
-            try:
-                os.unlink(self._location)
-            except OSError:
-                pass
+        close_listener(self._listener, self.address)
         self._selector.close()
-        for end in self._wakeup:
-            end.close()
 
     def _start_helper(self, name: str, target: Callable[[], None]) -> None:
         """A short-lived thread for work that waits on loop events (only
@@ -719,11 +670,11 @@ class ServeDaemon:
             return
         # the loop exits once drained; past the timeout (or without a
         # drain) it stops with work outstanding
-        self._wakeup[1].send(b"\0")
+        self._front.wake()
         self._loop_thread.join(timeout if drain else 0.0)
         with self._lock:
             self._running = False
-        self._wakeup[1].send(b"\0")
+        self._front.wake()
         self._loop_thread.join()
         with self._lock:
             for worker in self._pool.values():
@@ -758,9 +709,7 @@ class ServeDaemon:
                 ack()
         self._shutdown_acks = []
         # hang up on clients: they observe the stop, not a zombie
-        for client in self._clients:
-            client.close()
-        self._clients.clear()
+        self._front.close()
         self._stopped.set()
 
     def __enter__(self) -> "ServeDaemon":
@@ -803,46 +752,6 @@ class ServeDaemon:
         except (OSError, ValueError):
             pass          # a dead worker: EOF on its pipe retries the batch
 
-    def _accept(self, listener: socket.socket) -> None:
-        try:
-            sock, _ = listener.accept()
-        except OSError:
-            return                    # the peer gave up before the accept
-        sock.setblocking(True)
-        if self.scheme == "tcp":
-            try:
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                # let a restarted daemon rebind this port while old client
-                # connections are still draining
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            except OSError:
-                pass
-        client = _Client(sock)
-        self._clients.add(client)
-        self._selector.register(sock, selectors.EVENT_READ,
-                                (self._read_client, client))
-
-    def _read_client(self, client: _Client) -> None:
-        """Admit every complete request line the client has sent.  A frame
-        that cannot be parsed or handled hangs up on this client only."""
-        try:
-            chunk = client.sock.recv(65536)
-        except OSError:
-            chunk = b""
-        try:
-            client.feed(chunk)
-            while (document := client.pop()) is not None:
-                self._handle_request(document, client)
-        except Exception as exc:
-            # bad framing, or a frame that broke its handler: answer and
-            # hang up on this client; the loop serves every other one
-            client.reply(error_response(None, ERR_BAD_REQUEST, str(exc)))
-            chunk = b""
-        if not chunk:
-            self._selector.unregister(client.sock)
-            self._clients.discard(client)
-            client.close()
-
     def _read_worker(self, worker: _Worker) -> None:
         """Take one worker message; EOF means the worker died."""
         try:
@@ -861,7 +770,7 @@ class ServeDaemon:
         # "failed" (a healed worker's preload): its EOF follows
 
     def _handle_request(self, document: Dict[str, Any],
-                        client: _Client) -> None:
+                        client: ClientConnection) -> None:
         reply = client.reply
         with self._lock:
             self._received += 1

@@ -18,9 +18,9 @@ by the *address scheme*:
     an ``AF_INET`` stream socket (``PORT`` 0 binds an ephemeral port, which
     :func:`create_listener` resolves into the returned address).
 
-:func:`parse_address`, :func:`connect_address` and :func:`create_listener`
-are the only places that know the difference; daemon, router and client all
-take address strings.
+:func:`parse_address`, :func:`connect_address`, :func:`start_connect` and
+:func:`create_listener` are the only places that know the difference;
+daemon, router and client all take address strings.
 
 Request ops
 -----------
@@ -51,10 +51,13 @@ request instead of queueing it; back off and retry) and ``worker_crashed``
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import selectors
 import socket
-from typing import Any, Dict, Optional, Tuple, Union
+import threading
+from typing import Any, Callable, Dict, Optional, Tuple, Union
 
 import numpy as np
 
@@ -130,10 +133,8 @@ def connect_address(address: str,
                     timeout: Optional[float] = None) -> socket.socket:
     """A connected stream socket for ``address`` (caller closes it)."""
     scheme, location = parse_address(address)
-    if scheme == "unix":
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    else:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock = socket.socket(socket.AF_UNIX if scheme == "unix"
+                         else socket.AF_INET)
     try:
         if timeout is not None:
             sock.settimeout(timeout)
@@ -148,16 +149,43 @@ def connect_address(address: str,
     return sock
 
 
+def start_connect(address: str) -> socket.socket:
+    """A non-blocking socket whose connect to ``address`` is under way.  It
+    turns writable once the connect is done; ``SO_ERROR`` then tells how.
+    A connect that fails at once raises here."""
+    scheme, location = parse_address(address)
+    sock = socket.socket(socket.AF_UNIX if scheme == "unix"
+                         else socket.AF_INET)
+    sock.setblocking(False)
+    if scheme == "tcp":
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    code = sock.connect_ex(location)
+    if code not in (0, errno.EINPROGRESS):
+        sock.close()
+        raise OSError(code, os.strerror(code))
+    return sock
+
+
 def create_listener(address: str,
                     backlog: int = 128) -> Tuple[socket.socket, str]:
     """A bound + listening socket and its *resolved* address string.
 
     TCP port 0 binds an ephemeral port; the returned address carries the
-    port the kernel actually assigned.  Stale ``AF_UNIX`` socket files are
-    the caller's concern (only it knows whether a live peer may own them).
+    port the kernel actually assigned.  An ``AF_UNIX`` socket file that a
+    dead server left behind is unlinked and bound again; one where a live
+    server still accepts connections raises :class:`RuntimeError` (it is
+    never hijacked).
     """
     scheme, location = parse_address(address)
     if scheme == "unix":
+        if os.path.exists(location):
+            try:
+                probe = connect_address(location, timeout=1.0)
+            except OSError:
+                os.unlink(location)          # stale: nobody is listening
+            else:
+                probe.close()
+                raise RuntimeError(f"{location} already has a live server")
         listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             listener.bind(location)
@@ -176,6 +204,22 @@ def create_listener(address: str,
         listener.close()
         raise
     return listener, format_address("tcp", (location[0], port))
+
+
+def close_listener(listener: socket.socket, address: str) -> None:
+    """Close a :func:`create_listener` socket and remove its ``AF_UNIX``
+    file.  The shutdown first wakes a thread blocked in ``accept()``."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    listener.close()
+    scheme, location = parse_address(address)
+    if scheme == "unix":
+        try:
+            os.unlink(location)
+        except OSError:
+            pass
 
 
 class ProtocolError(Exception):
@@ -210,11 +254,11 @@ def ok_response(request_id, result: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# framed socket I/O (shared by the daemon's loop, the client and the router)
+# framed socket I/O (shared by the selector loops and the client)
 # ----------------------------------------------------------------------
 class LineChannel:
     """Buffered newline framing over one connected socket.  :meth:`recv`
-    and the daemon's selector loop share one parser: :meth:`feed`/:meth:`pop`.
+    and the selector loops share one parser: :meth:`feed`/:meth:`pop`.
     """
 
     def __init__(self, sock: socket.socket):
@@ -266,6 +310,111 @@ class LineChannel:
             self.sock.close()
         except OSError:
             pass
+
+
+class ClientConnection(LineChannel):
+    """One accepted connection of a selector loop.  The loop and a helper
+    thread may both answer it, so each reply goes out whole (a blocking
+    ``sendall``) under ``write_lock``."""
+
+    def __init__(self, sock: socket.socket):
+        super().__init__(sock)
+        self.write_lock = threading.Lock()
+
+    def reply(self, document: Dict[str, Any]) -> None:
+        try:
+            with self.write_lock:
+                self.send(document)
+        except OSError:
+            pass                      # client went away; nothing to tell it
+
+    def close(self) -> None:
+        # a process forked while this client was connected holds a copy of
+        # the socket: without a shutdown, close() would not hang up
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        super().close()
+
+
+class FrontEnd:
+    """The accept, client-read and wake-up steps of the daemon's and the
+    router's selector loops, whose keys carry ``(handler, source)``.
+    ``handle`` runs once per request line; a frame that cannot be parsed,
+    or that breaks ``handle``, is answered ``bad_request`` and hangs up on
+    that one client only."""
+
+    def __init__(self, selector: selectors.BaseSelector,
+                 listener: socket.socket,
+                 handle: Callable[[Dict[str, Any], ClientConnection], None]):
+        self.selector = selector
+        self.handle = handle
+        self.clients: set = set()
+        listener.setblocking(False)
+        selector.register(listener, selectors.EVENT_READ,
+                          (self.accept, listener))
+        self._wakeup = socket.socketpair()        # (loop end, waker)
+        self._wakeup[1].setblocking(False)
+        self._wake_lock = threading.Lock()
+        selector.register(self._wakeup[0], selectors.EVENT_READ,
+                          (lambda sock: sock.recv(4096), self._wakeup[0]))
+
+    def wake(self) -> None:
+        """Return the loop from ``select()``; any thread, even after
+        :meth:`close`."""
+        with self._wake_lock:
+            try:
+                self._wakeup[1].send(b"\0")
+            except OSError:
+                pass          # closed, or full: the loop is awake anyway
+
+    def accept(self, listener: socket.socket) -> None:
+        try:
+            sock, _ = listener.accept()
+        except OSError:
+            return                    # the peer gave up before the accept
+        sock.setblocking(True)
+        if sock.family == socket.AF_INET:
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                # let a restarted server rebind this port while old client
+                # connections are still draining
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            except OSError:
+                pass
+        client = ClientConnection(sock)
+        self.clients.add(client)
+        self.selector.register(sock, selectors.EVENT_READ,
+                               (self.read, client))
+
+    def read(self, client: ClientConnection) -> None:
+        """Handle every complete request line the client has sent."""
+        try:
+            chunk = client.sock.recv(65536)
+        except OSError:
+            chunk = b""
+        try:
+            client.feed(chunk)
+            while (document := client.pop()) is not None:
+                self.handle(document, client)
+        except Exception as exc:
+            client.reply(error_response(None, ERR_BAD_REQUEST, str(exc)))
+            chunk = b""
+        if not chunk:
+            self.selector.unregister(client.sock)
+            self.clients.discard(client)
+            client.close()
+
+    def close(self) -> None:
+        """Hang up on every client and close the wake-up socketpair (the
+        loop has stopped reading them)."""
+        for client in self.clients:
+            client.close()
+        self.clients.clear()
+        with self._wake_lock:
+            for end in self._wakeup:
+                end.close()
 
 
 # ----------------------------------------------------------------------

@@ -8,14 +8,21 @@ by consistent hashing of its ``(model, version)`` route key over a ring of
 virtual nodes (:class:`HashRing`).  Adding or losing a group remaps only the
 routes that hashed onto it; every other shard keeps its warm replicas.
 
+One thread, ``repro-router-loop``, runs a :mod:`selectors` loop over the
+listener, the client sockets, one connection per replica and a wake-up
+socketpair.  A request goes to its replica under a router-local id; the
+reply, matched by that id, gets the caller's ``id`` back and is relayed.
+Probes and the request, probe and connect timeouts share one deadline heap,
+which sets the selector timeout; replicas are dialled without blocking.
+
 Health is both active and passive:
 
-* a **probe thread** sends each replica a ``stats`` request every
-  ``probe_interval`` seconds; ``fail_after`` consecutive probe failures
-  eject the replica from rotation, one successful probe re-admits it.  The
-  probe's response (queue depth, shed count, latency percentiles — the
-  daemon's extended ``stats`` op) is kept as the replica's last-known
-  saturation snapshot and surfaced through the router's own ``stats``;
+* every ``probe_interval`` seconds the loop sends each replica a ``stats``
+  **probe**; ``fail_after`` consecutive probe failures eject the replica
+  from rotation, one successful probe re-admits it.  The probe's response
+  (queue depth, shed count, latency percentiles — the daemon's extended
+  ``stats`` op) is kept as the replica's last-known saturation snapshot
+  and surfaced through the router's own ``stats``;
 * a **forwarding failure** (connection refused/reset, timeout) marks the
   replica unhealthy immediately and the request retries once on another
   replica of the same group; re-admission still requires a probe success.
@@ -36,12 +43,18 @@ from __future__ import annotations
 
 import bisect
 import collections
+import dataclasses
+import functools
 import hashlib
+import heapq
+import itertools
 import os
+import selectors
 import socket
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
+    Tuple, Union
 
 from repro.serve.daemon import route_label
 from repro.serve.protocol import (
@@ -50,16 +63,18 @@ from repro.serve.protocol import (
     ERR_NO_REPLICA,
     ERR_OVERLOADED,
     ERR_SHUTTING_DOWN,
-    INLINE_OPS,
+    ClientConnection,
+    FrontEnd,
     LineChannel,
     ProtocolError,
-    connect_address,
+    close_listener,
     create_listener,
     error_response,
     format_address,
     ok_response,
     parse_address,
     percentile,
+    start_connect,
     validate_request,
 )
 
@@ -97,121 +112,18 @@ class HashRing:
 
 
 # ----------------------------------------------------------------------
-# multiplexed backend connection
-# ----------------------------------------------------------------------
-class _Waiter:
-    __slots__ = ("event", "response", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.response: Optional[Dict[str, Any]] = None
-        self.error: Optional[BaseException] = None
-
-
-class _MuxChannel:
-    """One persistent connection multiplexing concurrent requests by id.
-
-    Many router threads ``submit()`` concurrently; a single reader thread
-    matches the (possibly out-of-order) responses back to their waiters.
-    A broken connection fails every outstanding waiter and is re-dialled
-    lazily on the next submit.
-    """
-
-    def __init__(self, address: str, connect_timeout: float = 5.0):
-        self.address = address
-        self.connect_timeout = connect_timeout
-        self._lock = threading.Lock()
-        self._channel: Optional[LineChannel] = None
-        self._reader: Optional[threading.Thread] = None
-        self._pending: Dict[str, _Waiter] = {}
-        self._next_id = 0
-
-    def submit(self, document: Dict[str, Any],
-               timeout: Optional[float]) -> Dict[str, Any]:
-        """Send one request and block for its response."""
-        waiter = _Waiter()
-        with self._lock:
-            if self._channel is None:
-                channel = LineChannel(
-                    connect_address(self.address,
-                                    timeout=self.connect_timeout))
-                self._channel = channel
-                self._reader = threading.Thread(
-                    target=self._read_loop, args=(channel,),
-                    name=f"repro-router-read[{self.address}]", daemon=True)
-                self._reader.start()
-            request_id = f"x{self._next_id}"
-            self._next_id += 1
-            self._pending[request_id] = waiter
-            wire = dict(document)
-            wire["id"] = request_id
-            try:
-                self._channel.send(wire)
-            except OSError:
-                self._teardown_locked(ConnectionError(
-                    f"lost connection to {self.address}"))
-                raise
-        if not waiter.event.wait(timeout):
-            with self._lock:
-                self._pending.pop(request_id, None)
-            raise TimeoutError(f"no response from {self.address} within "
-                               f"{timeout}s")
-        if waiter.error is not None:
-            raise waiter.error
-        return waiter.response
-
-    def _read_loop(self, channel: LineChannel) -> None:
-        while True:
-            try:
-                response = channel.recv()
-            except (OSError, ProtocolError):
-                response = None
-            with self._lock:
-                if self._channel is not channel:
-                    return               # superseded by a reconnect
-                if response is None:
-                    self._teardown_locked(ConnectionError(
-                        f"{self.address} closed the connection"))
-                    return
-                waiter = self._pending.pop(response.get("id"), None)
-            if waiter is not None:
-                waiter.response = response
-                waiter.event.set()
-
-    def _teardown_locked(self, error: BaseException) -> None:
-        if self._channel is not None:
-            # shut down before closing: close() alone does not wake a
-            # reader blocked in recv()
-            try:
-                self._channel.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._channel.close()
-            self._channel = None
-        pending, self._pending = self._pending, {}
-        for waiter in pending.values():
-            waiter.error = error
-            waiter.event.set()
-
-    def close(self) -> None:
-        """Tear the connection down; returns once its reader has exited."""
-        with self._lock:
-            reader, self._reader = self._reader, None
-            self._teardown_locked(ConnectionError("channel closed"))
-        if reader is not None and reader is not threading.current_thread():
-            reader.join()
-
-
-# ----------------------------------------------------------------------
-# replicas and the router
+# replicas, and the requests the loop owes a client an answer for
 # ----------------------------------------------------------------------
 class Replica:
-    """Router-side handle of one replica daemon."""
+    """Router-side handle of one replica daemon and its connection."""
 
-    def __init__(self, group: str, address: str, connect_timeout: float):
+    def __init__(self, group: str, address: str):
         self.group = group
         self.address = address
-        self.channel = _MuxChannel(address, connect_timeout=connect_timeout)
+        #: the connection, dialled lazily; None while there is none
+        self.channel: Optional[LineChannel] = None
+        self.connected = False
+        self.probing = False
         self.healthy = True              # optimistic until a probe says no
         self.consecutive_failures = 0
         self.ejections = 0
@@ -224,6 +136,20 @@ class Replica:
                 "consecutive_failures": self.consecutive_failures,
                 "ejections": self.ejections, "forwarded": self.forwarded,
                 "errors": self.errors, "last_probe": self.last_probe}
+
+
+@dataclasses.dataclass(eq=False)
+class _Request:
+    """A client request the loop owes an answer: a forward (at most two
+    tries) or an admin op's fan-out (one call per group member)."""
+    client: ClientConnection
+    request_id: Any
+    route: str
+    started: float = dataclasses.field(default_factory=time.perf_counter)
+    #: a forward's failed replicas (a second failure ends its tries)
+    excluded: set = dataclasses.field(default_factory=set)
+    #: a fan-out's answers by member address (None: still waiting)
+    results: Dict[str, Any] = dataclasses.field(default_factory=dict)
 
 
 def parse_replica_spec(spec: Union[str, Tuple[str, str]]) -> Tuple[str, str]:
@@ -243,7 +169,8 @@ def parse_replica_spec(spec: Union[str, Tuple[str, str]]) -> Tuple[str, str]:
 
 
 class ServeRouter:
-    """Fleet front door: shard routing + health + admission (module doc)."""
+    """Fleet front door: shard routing + health + admission, driven by one
+    selector loop (module doc)."""
 
     def __init__(self, address: str,
                  replicas: Sequence[Union[str, Tuple[str, str]]],
@@ -251,7 +178,7 @@ class ServeRouter:
                  probe_timeout: float = 5.0, connect_timeout: float = 5.0,
                  request_timeout: float = 600.0, max_inflight: int = 256,
                  max_inflight_per_route: Optional[int] = None,
-                 vnodes: int = DEFAULT_VNODES, forward_threads: int = 32):
+                 vnodes: int = DEFAULT_VNODES):
         if not replicas:
             raise ValueError("a router needs at least one replica")
         if fail_after < 1:
@@ -263,13 +190,13 @@ class ServeRouter:
         self.probe_interval = float(probe_interval)
         self.fail_after = int(fail_after)
         self.probe_timeout = float(probe_timeout)
+        self.connect_timeout = float(connect_timeout)
         self.request_timeout = float(request_timeout)
         self.max_inflight = int(max_inflight)
         self.max_inflight_per_route = (int(max_inflight_per_route)
                                        if max_inflight_per_route is not None
                                        else max(1, self.max_inflight // 2))
         self.vnodes = int(vnodes)
-        self.forward_threads = int(forward_threads)
 
         self._replicas: List[Replica] = []
         seen = set()
@@ -278,39 +205,39 @@ class ServeRouter:
             if replica_address in seen:
                 raise ValueError(f"duplicate replica {replica_address!r}")
             seen.add(replica_address)
-            self._replicas.append(Replica(group, replica_address,
-                                          connect_timeout))
+            self._replicas.append(Replica(group, replica_address))
         self._groups: "collections.OrderedDict[str, List[Replica]]" = \
             collections.OrderedDict()
         for replica in self._replicas:
             self._groups.setdefault(replica.group, []).append(replica)
 
+        #: guards health, ring, admission and counters, which stats() and
+        #: owner_of() read from other threads; only the loop writes them
         self._lock = threading.Lock()
         self._ring = HashRing(self._groups, vnodes=self.vnodes)
         self._rr: Dict[str, int] = {group: 0 for group in self._groups}
         self._inflight_total = 0
         self._inflight_route: Dict[str, int] = {}
-        self._listener = None
-        self._conns: set = set()
-        self._conns_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self._stop_event = threading.Event()
-        #: set whenever the router is not running; a shutdown() racing the
-        #: one in progress waits on it
-        self._stopped = threading.Event()
-        self._stopped.set()
-        self._executor = None
-        self._running = False
+        self._listener: Optional[socket.socket] = None
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._front: Optional[FrontEnd] = None
+        self._loop_thread: Optional[threading.Thread] = None
+        self._draining = False
         self._started_at = 0.0
 
-        self._stats_lock = threading.Lock()
-        self._received = 0
-        self._forwarded = 0
-        self._completed = 0
-        self._errors = 0
-        self._shed = 0
-        self._no_replica = 0
-        self._retried = 0
+        # loop-only state: the calls awaiting a replica's reply, as
+        # {router-local id: (replica, frame, done)}, the deadline heap, and
+        # the number of client requests still unanswered
+        self._pending: Dict[int, tuple] = {}
+        self._call_ids = itertools.count()
+        self._timers: List[tuple] = []
+        self._timer_seq = itertools.count()
+        self._compact_at = 64
+        self._outstanding = 0
+
+        self._requests = dict.fromkeys(
+            ("received", "forwarded", "completed", "errors", "shed",
+             "no_replica", "retried"), 0)
         self._per_route: Dict[str, Dict[str, int]] = {}
         self._latencies: "collections.deque[float]" = \
             collections.deque(maxlen=4096)
@@ -320,80 +247,42 @@ class ServeRouter:
     # ------------------------------------------------------------------
     @property
     def running(self) -> bool:
-        return self._running
+        loop = self._loop_thread
+        return loop is not None and loop.is_alive() and not self._draining
 
     @property
     def replicas(self) -> List[Replica]:
         return list(self._replicas)
 
     def start(self) -> "ServeRouter":
-        from concurrent.futures import ThreadPoolExecutor
-
-        if self._running:
+        if self._loop_thread is not None and self._loop_thread.is_alive():
             raise RuntimeError("router already started")
         self._listener, self.address = create_listener(self.address)
-        self._executor = ThreadPoolExecutor(
-            max_workers=self.forward_threads,
-            thread_name_prefix="repro-router-fwd")
-        self._running = True
-        self._stop_event.clear()
-        self._stopped.clear()
+        self._selector = selectors.DefaultSelector()
+        self._front = FrontEnd(self._selector, self._listener,
+                               self._handle_request)
+        self._draining = False
         self._started_at = time.perf_counter()
-        for target, name in ((self._accept_loop, "accept"),
-                             (self._probe_loop, "probe")):
-            thread = threading.Thread(target=target,
-                                      name=f"repro-router-{name}",
-                                      daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._after(0.0, self._probe_tick)
+        self._loop_thread = threading.Thread(target=self._loop,
+                                             name="repro-router-loop",
+                                             daemon=True)
+        self._loop_thread.start()
         return self
 
     def shutdown(self) -> None:
         """Stop the router (replicas keep running; they are not owned).
 
-        Returns once every router thread has exited; a call racing a
-        shutdown in progress waits for it.
+        In-flight requests finish, new ones are answered
+        ``shutting_down``, then every client is hung up on.  Returns once
+        the loop has exited and closed every socket it owned; a call
+        racing a shutdown in progress waits for it.
         """
-        if not self._running:
-            self._stopped.wait()
-            return
-        self._running = False
-        self._stop_event.set()           # wakes the probe loop's wait
-        # wake the accept thread before closing: a close() alone leaves it
-        # blocked in accept(), and the in-kernel reference it holds keeps
-        # the port in LISTEN after we exit (EADDRINUSE on restart)
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        if self.scheme == "unix":
-            try:
-                os.unlink(self._location)
-            except OSError:
-                pass
-        self._executor.shutdown(wait=True)
-        # join the loops before closing the channels, so a probe still in
-        # flight cannot re-dial a replica after its channel is closed
-        current = threading.current_thread()
-        for thread in self._threads:
-            if thread is not current:
-                thread.join()
-        for replica in self._replicas:
-            replica.channel.close()
-        # hang up on connected clients so they observe the stop instead of
-        # talking to a zombie (their readers see EOF and reconnect)
-        with self._conns_lock:
-            open_conns = list(self._conns)
-        for conn in open_conns:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        self._stopped.set()
+        loop, self._draining = self._loop_thread, True
+        if loop is not None:
+            self._front.wake()
+            if loop is not threading.current_thread():
+                loop.join()
 
     def __enter__(self) -> "ServeRouter":
         return self.start()
@@ -402,112 +291,95 @@ class ServeRouter:
         self.shutdown()
 
     # ------------------------------------------------------------------
+    # the loop: sockets and deadlines in, relayed answers out
+    # ------------------------------------------------------------------
+    def _loop(self) -> None:
+        try:
+            while not (self._draining and not self._outstanding):
+                for key, _ in self._selector.select(self._fire_timers()):
+                    # skip a socket an earlier handler of this batch dropped
+                    if self._selector.get_map().get(key.fd) is key:
+                        handler, source = key.data
+                        handler(source)
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        """Release every socket the loop owns (on the loop, as it exits)."""
+        self._pending.clear()            # leftover probes: nobody waits
+        self._timers.clear()
+        self._outstanding = 0
+        for replica in self._replicas:
+            self._drop(replica, "router stopped")
+            replica.probing = False
+        self._front.close()
+        self._selector.close()
+        close_listener(self._listener, self.address)
+
+    def _after(self, delay: float, action: Callable, *args) -> None:
+        """Run ``action(*args)`` on the loop ``delay`` seconds from now."""
+        heapq.heappush(self._timers, (time.monotonic() + delay,
+                                      next(self._timer_seq), action, args))
+        if len(self._timers) > self._compact_at:
+            # a settled call leaves its timeout behind: drop those
+            self._timers = [timer for timer in self._timers
+                            if timer[2] != self._fail
+                            or timer[3][0] in self._pending]
+            heapq.heapify(self._timers)
+            self._compact_at = 2 * len(self._timers) + 64
+
+    def _fire_timers(self) -> Optional[float]:
+        """Run every due timer; the wait until the next one (None: none)."""
+        while self._timers:
+            delay = self._timers[0][0] - time.monotonic()
+            if delay > 0:
+                return delay
+            _, _, action, args = heapq.heappop(self._timers)
+            action(*args)
+        return None
+
+    # ------------------------------------------------------------------
     # front-end
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while self._running:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            if self.scheme == "tcp":
-                try:
-                    conn.setsockopt(socket.IPPROTO_TCP,
-                                    socket.TCP_NODELAY, 1)
-                    # let a restarted router rebind this port while old
-                    # client connections are still draining
-                    conn.setsockopt(socket.SOL_SOCKET,
-                                    socket.SO_REUSEADDR, 1)
-                except OSError:
-                    pass
-            threading.Thread(target=self._connection_loop, args=(conn,),
-                             name="repro-router-conn", daemon=True).start()
-
-    def _connection_loop(self, conn) -> None:
-        channel = LineChannel(conn)
-        write_lock = threading.Lock()
-        with self._conns_lock:
-            self._conns.add(conn)
-
-        def reply(document: Dict[str, Any]) -> None:
-            try:
-                with write_lock:
-                    channel.send(document)
-            except OSError:
-                pass
-
-        try:
-            while True:
-                try:
-                    document = channel.recv()
-                except ProtocolError as exc:
-                    reply(error_response(None, ERR_BAD_REQUEST, str(exc)))
-                    return
-                except OSError:
-                    return
-                if document is None:
-                    return
-                self._handle_request(document, reply)
-        finally:
-            with self._conns_lock:
-                self._conns.discard(conn)
-            channel.close()
-
-    def _handle_request(self, document: Dict[str, Any], reply) -> None:
+    def _handle_request(self, document: Dict[str, Any],
+                        client: ClientConnection) -> None:
         try:
             request_id, op = validate_request(document)
         except ProtocolError as exc:
-            reply(error_response(document.get("id"), ERR_BAD_REQUEST,
-                                 str(exc)))
+            client.reply(error_response(document.get("id"), ERR_BAD_REQUEST,
+                                        str(exc)))
             return
-        with self._stats_lock:
-            self._received += 1
-        if op in INLINE_OPS:
-            if op == "ping":
-                reply(ok_response(request_id, {"pong": True, "router": True}))
-            elif op == "stats":
-                reply(ok_response(request_id, self.stats()))
-            else:                        # shutdown: the router, not the fleet
-                reply(ok_response(request_id, {"stopped": True,
-                                               "router": True}))
-                threading.Thread(target=self.shutdown,
-                                 name="repro-router-shutdown",
-                                 daemon=True).start()
-            return
-        if op in ADMIN_OPS:
-            # lifecycle ops address every replica of the shard owner: all
-            # serving copies of the model must flip/shadow together
-            try:
-                if not self._running:
-                    raise RuntimeError("router is shutting down")
-                self._executor.submit(self._forward_admin, request_id,
-                                      document, reply)
-            except RuntimeError:
-                reply(error_response(request_id, ERR_SHUTTING_DOWN,
-                                     "router is shutting down"))
-            return
-        route = self._route_key(document, op)
-        if not self._admit(route):
-            with self._stats_lock:
-                self._shed += 1
-                self._route_stats_locked(route)["shed"] += 1
-            reply(error_response(
-                request_id, ERR_OVERLOADED,
-                f"router in-flight limit reached for route {route!r}",
-                route=route, scope="router",
-                max_inflight=self.max_inflight,
-                max_inflight_per_route=self.max_inflight_per_route))
-            return
-        started = time.perf_counter()
-        try:
-            if not self._running:
-                raise RuntimeError("router is shutting down")
-            self._executor.submit(self._forward, route, request_id, document,
-                                  reply, started)
-        except RuntimeError:             # executor shut down under us
-            self._release(route)
-            reply(error_response(request_id, ERR_SHUTTING_DOWN,
-                                 "router is shutting down"))
+        with self._lock:
+            self._requests["received"] += 1
+        if op == "ping":
+            client.reply(ok_response(request_id, {"pong": True,
+                                                  "router": True}))
+        elif op == "stats":
+            client.reply(ok_response(request_id, self.stats()))
+        elif op == "shutdown":           # the router, not the fleet
+            client.reply(ok_response(request_id, {"stopped": True,
+                                                  "router": True}))
+            self._draining = True
+        elif self._draining:
+            client.reply(error_response(request_id, ERR_SHUTTING_DOWN,
+                                        "router is shutting down"))
+        elif op in ADMIN_OPS:
+            self._fan_out(request_id, document, client)
+        else:
+            route = self._route_key(document, op)
+            if not self._admit(route):
+                with self._lock:
+                    self._requests["shed"] += 1
+                    self._route_stats_locked(route)["shed"] += 1
+                client.reply(error_response(
+                    request_id, ERR_OVERLOADED,
+                    f"router in-flight limit reached for route {route!r}",
+                    route=route, scope="router",
+                    max_inflight=self.max_inflight,
+                    max_inflight_per_route=self.max_inflight_per_route))
+                return
+            self._outstanding += 1
+            self._forward(_Request(client, request_id, route), document)
 
     @staticmethod
     def _route_key(document: Dict[str, Any], op: str) -> str:
@@ -543,100 +415,108 @@ class ServeRouter:
     # ------------------------------------------------------------------
     # forwarding
     # ------------------------------------------------------------------
-    def _forward(self, route: str, request_id, document: Dict[str, Any],
-                 reply, started: float) -> None:
-        try:
-            excluded: set = set()
-            for attempt in range(2):
-                replica = self._pick_replica(route, excluded)
-                if replica is None:
-                    break
-                try:
-                    response = replica.channel.submit(document,
-                                                      self.request_timeout)
-                except (OSError, ConnectionError, TimeoutError):
-                    self._mark_failed(replica)
-                    excluded.add(replica.address)
-                    if attempt == 0:
-                        with self._stats_lock:
-                            self._retried += 1
-                    continue
-                response = dict(response)
-                response["id"] = request_id
-                latency_ms = 1e3 * (time.perf_counter() - started)
-                with self._stats_lock:
-                    replica.forwarded += 1
-                    self._forwarded += 1
-                    self._completed += 1
-                    self._errors += int(not response.get("ok"))
-                    self._latencies.append(latency_ms)
-                    self._route_stats_locked(route)["forwarded"] += 1
-                reply(response)
-                return
-            with self._stats_lock:
-                self._no_replica += 1
-                self._errors += 1
-            reply(error_response(
-                request_id, ERR_NO_REPLICA,
-                f"no healthy replica for route {route!r}", route=route))
-        finally:
-            self._release(route)
+    def _forward(self, request: _Request, document: Dict[str, Any]) -> None:
+        """Send to a replica of the owning group; one retry on failure."""
+        replica = (self._pick_replica(request.route, request.excluded)
+                   if len(request.excluded) < 2 else None)
+        if replica is None:
+            self._release(request.route)
+            self._outstanding -= 1
+            self._no_replica(request.client, request.request_id,
+                             request.route)
+            return
+        self._call(replica, document, self.request_timeout,
+                   functools.partial(self._relay, request, document, replica))
 
-    def _forward_admin(self, request_id, document: Dict[str, Any],
-                       reply) -> None:
-        """Fan a swap/shadow op out to every healthy replica of the group
-        that owns the model's latest-route, collecting per-replica results.
-        """
+    def _relay(self, request: _Request, document: Dict[str, Any],
+               replica: Replica, response: Optional[Dict[str, Any]],
+               error: Optional[str]) -> None:
+        if response is None:
+            self._mark_failed(replica)
+            request.excluded.add(replica.address)
+            if len(request.excluded) == 1:
+                with self._lock:
+                    self._requests["retried"] += 1
+            self._forward(request, document)
+            return
+        response = dict(response)
+        response["id"] = request.request_id
+        latency_ms = 1e3 * (time.perf_counter() - request.started)
+        with self._lock:
+            replica.forwarded += 1
+            self._requests["forwarded"] += 1
+            self._requests["completed"] += 1
+            self._requests["errors"] += int(not response.get("ok"))
+            self._latencies.append(latency_ms)
+            self._route_stats_locked(request.route)["forwarded"] += 1
+        self._release(request.route)
+        self._outstanding -= 1
+        request.client.reply(response)
+
+    def _no_replica(self, client: ClientConnection, request_id,
+                    route: str) -> None:
+        with self._lock:
+            self._requests["no_replica"] += 1
+            self._requests["errors"] += 1
+        client.reply(error_response(
+            request_id, ERR_NO_REPLICA,
+            f"no healthy replica for route {route!r}", route=route))
+
+    def _fan_out(self, request_id, document: Dict[str, Any],
+                 client: ClientConnection) -> None:
+        """Send a swap/shadow op to every healthy replica of the group that
+        owns the model's latest-route; answer once each has answered or
+        failed (all serving copies of the model flip/shadow together)."""
         route = route_label(("model", document["model"], None))
         with self._lock:
             group = self._ring.lookup(route)
             members = ([replica for replica in self._groups[group]
                         if replica.healthy] if group is not None else [])
         if not members:
-            with self._stats_lock:
-                self._no_replica += 1
-                self._errors += 1
-            reply(error_response(
-                request_id, ERR_NO_REPLICA,
-                f"no healthy replica for route {route!r}", route=route))
+            self._no_replica(client, request_id, route)
             return
-        results: Dict[str, Dict[str, Any]] = {}
-        succeeded = 0
+        request = _Request(client, request_id, route, results=dict.fromkeys(
+            replica.address for replica in members))
+        self._outstanding += 1
         for replica in members:
-            try:
-                response = replica.channel.submit(document,
-                                                  self.request_timeout)
-            except (OSError, ConnectionError, TimeoutError) as exc:
-                self._mark_failed(replica)
-                results[replica.address] = {
-                    "ok": False,
-                    "error": {"code": ERR_NO_REPLICA, "message": str(exc)}}
-                continue
-            entry: Dict[str, Any] = {"ok": bool(response.get("ok"))}
-            if response.get("ok"):
-                entry["result"] = response.get("result", {})
-                succeeded += 1
-            else:
-                entry["error"] = response.get("error", {})
-            results[replica.address] = entry
-        with self._stats_lock:
-            self._forwarded += len(members)
-            self._completed += 1
-            self._errors += int(succeeded == 0)
-            self._route_stats_locked(route)["forwarded"] += 1
+            self._call(replica, document, self.request_timeout,
+                       functools.partial(self._collect, request, group,
+                                         replica))
+
+    def _collect(self, request: _Request, group: str, replica: Replica,
+                 response: Optional[Dict[str, Any]],
+                 error: Optional[str]) -> None:
+        if response is None:
+            self._mark_failed(replica)
+            entry = {"ok": False,
+                     "error": {"code": ERR_NO_REPLICA, "message": error}}
+        elif response.get("ok"):
+            entry = {"ok": True, "result": response.get("result", {})}
+        else:
+            entry = {"ok": False, "error": response.get("error", {})}
+        results = request.results
+        results[replica.address] = entry
+        if None in results.values():
+            return
+        succeeded = sum(entry["ok"] for entry in results.values())
+        with self._lock:
+            self._requests["forwarded"] += len(results)
+            self._requests["completed"] += 1
+            self._requests["errors"] += int(succeeded == 0)
+            self._route_stats_locked(request.route)["forwarded"] += 1
+        self._outstanding -= 1
         if succeeded == 0:
             first_error = next(iter(results.values())).get("error", {})
-            reply(error_response(
-                request_id,
+            request.client.reply(error_response(
+                request.request_id,
                 first_error.get("code", ERR_NO_REPLICA),
                 first_error.get("message",
                                 "admin op failed on every replica"),
                 group=group, replicas=results))
             return
-        reply(ok_response(request_id, {"group": group,
-                                       "replicas": results,
-                                       "succeeded": succeeded,
-                                       "attempted": len(members)}))
+        request.client.reply(ok_response(request.request_id, {
+            "group": group, "replicas": results,
+            "succeeded": succeeded, "attempted": len(results)}))
 
     def _pick_replica(self, route: str, excluded: set) -> Optional[Replica]:
         with self._lock:
@@ -663,24 +543,116 @@ class ServeRouter:
                 self._rebuild_ring_locked()
 
     # ------------------------------------------------------------------
-    # active health probes
+    # replica connections: one call table over every replica
     # ------------------------------------------------------------------
-    def _probe_loop(self) -> None:
-        while self._running:
-            for replica in self._replicas:
-                if not self._running:
-                    return
-                self._probe_one(replica)
-            if self._stop_event.wait(self.probe_interval):
+    def _call(self, replica: Replica, document: Dict[str, Any],
+              timeout: float, done: Callable) -> None:
+        """Send ``document`` to ``replica`` under a router-local id.
+        ``done`` runs exactly once: with the reply, or with the reason
+        there is none (connect failure, EOF, socket error, timeout)."""
+        call_id = next(self._call_ids)
+        frame = dict(document)
+        frame["id"] = call_id
+        self._pending[call_id] = (replica, frame, done)
+        self._after(timeout, self._fail, call_id,
+                    f"no response from {replica.address} within {timeout}s")
+        if replica.channel is None:
+            self._dial(replica)          # written once connected
+        elif replica.connected:
+            self._write(replica, frame)
+
+    def _fail(self, call_id: int, reason: str) -> None:
+        call = self._pending.pop(call_id, None)
+        if call is not None:
+            call[2](None, reason)
+
+    def _dial(self, replica: Replica) -> None:
+        try:
+            sock = start_connect(replica.address)
+        except OSError as exc:
+            self._drop(replica, f"cannot connect to {replica.address}: {exc}")
+            return
+        replica.channel = LineChannel(sock)
+        self._selector.register(sock, selectors.EVENT_WRITE,
+                                (self._connected, replica))
+        self._after(self.connect_timeout, self._connect_expired, replica,
+                    replica.channel)
+
+    def _connected(self, replica: Replica) -> None:
+        sock = replica.channel.sock
+        code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+        if code:
+            self._drop(replica, f"cannot connect to {replica.address}: "
+                                f"{os.strerror(code)}")
+            return
+        sock.setblocking(True)           # whole-frame writes, like clients
+        self._selector.modify(sock, selectors.EVENT_READ,
+                              (self._read_replica, replica))
+        replica.connected = True
+        for owner, frame, _ in list(self._pending.values()):
+            if owner is replica and not self._write(replica, frame):
                 return
 
-    def _probe_one(self, replica: Replica) -> None:
+    def _connect_expired(self, replica: Replica,
+                         channel: LineChannel) -> None:
+        if replica.channel is channel and not replica.connected:
+            self._drop(replica, f"connect to {replica.address} timed out "
+                                f"after {self.connect_timeout}s")
+
+    def _write(self, replica: Replica, frame: Dict[str, Any]) -> bool:
         try:
-            response = replica.channel.submit({"op": "stats"},
-                                              self.probe_timeout)
-            if not response.get("ok"):
-                raise ConnectionError("stats probe returned an error")
-        except Exception:
+            replica.channel.send(frame)
+        except OSError as exc:
+            self._drop(replica, f"lost connection to {replica.address}: "
+                                f"{exc}")
+            return False
+        return True
+
+    def _read_replica(self, replica: Replica) -> None:
+        """Settle every call the replica has answered; EOF, a socket error
+        or a bad frame drops its connection (and fails its other calls)."""
+        channel = replica.channel
+        try:
+            chunk = channel.sock.recv(65536)
+            channel.feed(chunk)
+            while (response := channel.pop()) is not None:
+                call_id = response.get("id")
+                # an unknown id is a reply that came after its timeout
+                if isinstance(call_id, int) and call_id in self._pending:
+                    self._pending.pop(call_id)[2](response, None)
+        except Exception as exc:
+            # outside input: a bad frame, or a reply its caller cannot use
+            self._drop(replica, f"lost connection to {replica.address}: "
+                                f"{exc}")
+            return
+        if not chunk:
+            self._drop(replica, f"{replica.address} closed the connection")
+
+    def _drop(self, replica: Replica, reason: str) -> None:
+        """Close the replica's connection and fail every call on it."""
+        if replica.channel is not None:
+            self._selector.unregister(replica.channel.sock)
+            replica.channel.close()
+        replica.channel, replica.connected = None, False
+        for call_id in [call_id for call_id, (owner, _, _)
+                        in self._pending.items() if owner is replica]:
+            self._fail(call_id, reason)
+
+    # ------------------------------------------------------------------
+    # active health probes
+    # ------------------------------------------------------------------
+    def _probe_tick(self) -> None:
+        for replica in self._replicas:
+            if not replica.probing:
+                replica.probing = True
+                self._call(replica, {"op": "stats"}, self.probe_timeout,
+                           functools.partial(self._probed, replica))
+        self._after(self.probe_interval, self._probe_tick)
+
+    def _probed(self, replica: Replica, response: Optional[Dict[str, Any]],
+                error: Optional[str]) -> None:
+        replica.probing = False
+        if response is None or not response.get("ok"):
             with self._lock:
                 replica.consecutive_failures += 1
                 if (replica.healthy
@@ -731,27 +703,17 @@ class ServeRouter:
         with self._lock:
             replicas = {replica.address: replica.describe()
                         for replica in self._replicas}
-            healthy_groups = list(self._ring.groups)
-            inflight_total = self._inflight_total
-            inflight_route = dict(self._inflight_route)
-        with self._stats_lock:
             latencies = sorted(self._latencies)
             per_route = {route: dict(stats)
                          for route, stats in self._per_route.items()}
-            snapshot = {
+            return {
                 "router": True,
                 "address": self.address,
                 "transport": self.scheme,
                 "uptime_s": time.perf_counter() - self._started_at,
-                "requests": {"received": self._received,
-                             "forwarded": self._forwarded,
-                             "completed": self._completed,
-                             "errors": self._errors,
-                             "shed": self._shed,
-                             "no_replica": self._no_replica,
-                             "retried": self._retried},
-                "inflight": {"total": inflight_total,
-                             "per_route": inflight_route,
+                "requests": dict(self._requests),
+                "inflight": {"total": self._inflight_total,
+                             "per_route": dict(self._inflight_route),
                              "max_inflight": self.max_inflight,
                              "max_inflight_per_route":
                                  self.max_inflight_per_route},
@@ -765,12 +727,11 @@ class ServeRouter:
                 },
                 "per_route": per_route,
                 "ring": {"groups": sorted(self._groups),
-                         "healthy_groups": healthy_groups,
+                         "healthy_groups": list(self._ring.groups),
                          "vnodes": self.vnodes},
                 "replicas": replicas,
                 "drift": {"routes": self._fleet_drift(replicas)},
             }
-        return snapshot
 
     @staticmethod
     def _fleet_drift(replicas: Dict[str, Dict[str, Any]]

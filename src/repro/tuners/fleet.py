@@ -57,9 +57,9 @@ from repro.frontend.openmp import OMPConfig
 from repro.serve import faults
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
-    LineChannel,
+    ClientConnection,
     ProtocolError,
-    connect_address,
+    close_listener,
     create_listener,
     error_response,
     objective_from_wire,
@@ -123,9 +123,7 @@ class CampaignCoordinator:
         if max_lease_configs < 1:
             raise ValueError("max_lease_configs must be >= 1")
         self.campaign = campaign
-        scheme, location = parse_address(address)
-        self._scheme = scheme
-        self._location = location
+        parse_address(address)           # reject a malformed address early
         self.address = address
         self.lease_timeout = float(lease_timeout)
         self.max_lease_configs = int(max_lease_configs)
@@ -148,8 +146,9 @@ class CampaignCoordinator:
         self._stopping = False
         self._done = False
         self._listener: Optional[socket.socket] = None
-        self._threads: List[threading.Thread] = []
-        self._conns: List[socket.socket] = []
+        self._accept_thread: Optional[threading.Thread] = None
+        #: connection thread -> its socket (finished ones pruned on accept)
+        self._conns: Dict[threading.Thread, socket.socket] = {}
         self._inline_objective = None
         # counters (exposed by stats)
         self._leases_issued = 0
@@ -180,48 +179,38 @@ class CampaignCoordinator:
     def start(self) -> "CampaignCoordinator":
         if self._running:
             raise RuntimeError("coordinator already started")
-        if self._scheme == "unix" and os.path.exists(self._location):
-            try:
-                probe = connect_address(self.address, timeout=0.25)
-            except OSError:
-                os.unlink(self._location)   # stale socket file
-            else:
-                probe.close()
-                raise RuntimeError(f"{self.address} already has a live "
-                                   f"server")
         self._listener, self.address = create_listener(self.address)
         self._running = True
         self._last_worker_contact = time.monotonic()
-        accept = threading.Thread(target=self._accept_loop,
-                                  name="fleet-accept", daemon=True)
-        accept.start()
-        self._threads.append(accept)
+        self._accept_thread = threading.Thread(target=self._accept_loop,
+                                               name="fleet-accept",
+                                               daemon=True)
+        self._accept_thread.start()
         return self
 
     def shutdown(self) -> None:
+        """Stop serving; returns once the accept thread and every
+        connection thread have exited."""
         with self._lock:
             if not self._running:
                 return
             self._running = False
             self._stopping = True
             self._progress.notify_all()
-            conns = list(self._conns)
-        if self._listener is not None:
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            self._listener.close()
-        if self._scheme == "unix":
-            try:
-                os.unlink(self._location)
-            except OSError:
-                pass
-        for conn in conns:
+        close_listener(self._listener, self.address)
+        # the accept thread has exited once joined, so the connection set
+        # is final; shut each socket to wake its thread out of recv()
+        self._accept_thread.join()
+        with self._lock:
+            conns, self._conns = self._conns, {}
+        for conn in conns.values():
             try:
                 conn.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
+        for thread in conns:
+            if thread is not threading.current_thread():
+                thread.join()
 
     def __enter__(self) -> "CampaignCoordinator":
         return self.start() if not self._running else self
@@ -380,39 +369,27 @@ class CampaignCoordinator:
                 if not self._running:
                     conn.close()
                     return
-                self._conns.append(conn)
-            thread = threading.Thread(target=self._serve_connection,
-                                      args=(conn,), name="fleet-conn",
-                                      daemon=True)
-            thread.start()
+                thread = threading.Thread(target=self._serve_connection,
+                                          args=(conn,), name="fleet-conn",
+                                          daemon=True)
+                self._conns = {t: c for t, c in self._conns.items()
+                               if t.is_alive()}
+                self._conns[thread] = conn
+                thread.start()
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        channel = LineChannel(conn)
-        write_lock = threading.Lock()
-
-        def reply(document: Dict[str, Any]) -> None:
-            with write_lock:
-                channel.send(document)
-
+        channel = ClientConnection(conn)
         try:
             while True:
                 try:
                     request = channel.recv()
-                except ProtocolError:
-                    return                  # undecodable stream: hang up
-                except (OSError, ConnectionError):
-                    return                  # peer died (e.g. SIGKILL)
+                except (ProtocolError, OSError):
+                    return      # undecodable stream or a dead peer: hang up
                 if request is None:
                     return
-                try:
-                    self._handle_request(request, reply)
-                except (OSError, ConnectionError):
-                    return
+                self._handle_request(request, channel.reply)
         finally:
             channel.close()
-            with self._lock:
-                if conn in self._conns:
-                    self._conns.remove(conn)
 
     def _handle_request(self, request: Dict[str, Any], reply) -> None:
         try:

@@ -377,6 +377,23 @@ class TestFleetCampaign:
         final = TuningCampaign.resume(ck)
         assert final.run().history == serial_history
 
+    def test_shutdown_joins_accept_and_connection_threads(self, space):
+        """``shutdown()`` returns only after the accept thread and every
+        connection thread have exited, with clients still connected."""
+        before = set(threading.enumerate())
+        coordinator = CampaignCoordinator(_fresh_campaign(space),
+                                          _socket_path()).start()
+        clients = [DaemonClient(coordinator.address) for _ in range(3)]
+        try:
+            assert all(client.ping() for client in clients)
+            coordinator.shutdown()
+            leaked = [t.name for t in threading.enumerate()
+                      if t not in before]
+            assert leaked == []
+        finally:
+            for client in clients:
+                client.close()
+
 
 # ----------------------------------------------------------------------
 # DaemonClient bounded retry (satellite)

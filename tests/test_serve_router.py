@@ -2,6 +2,7 @@
 
 import json
 import os
+import select
 import socket
 import tempfile
 import threading
@@ -367,22 +368,179 @@ class TestRouterServing:
         assert remote["ring"] == stats["ring"]
 
     def test_shutdown_joins_loop_threads(self):
-        """``shutdown()`` returns only after the router's loops exited,
-        including the replica channel readers its probes started."""
+        """``shutdown()`` returns only after every thread the router
+        started has exited, with clients still connected, and leaves no fd
+        behind."""
         replica = ServeDaemon(_socket_path(), workers=1, max_batch=1).start()
-        try:
+
+        def cycle():
             before = set(threading.enumerate())
             router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
                                  probe_interval=0.05).start()
-            assert _await(lambda: router.replicas[0].last_probe is not None,
-                          timeout=10.0)
-            router.shutdown()
-            leaked = [t.name for t in threading.enumerate()
-                      if t not in before
-                      and t.name.startswith("repro-router-")]
-            assert leaked == []
+            clients = [DaemonClient(router.address) for _ in range(2)]
+            try:
+                assert all(client.ping() for client in clients)
+                assert _await(lambda: router.replicas[0].last_probe
+                              is not None, timeout=10.0)
+                router.shutdown()
+                return [t.name for t in threading.enumerate()
+                        if t not in before]
+            finally:
+                for client in clients:
+                    client.close()
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        try:
+            assert cycle() == []              # the warm-up cycle
+            # the in-process replica closes its end of the router's
+            # connection once it reads the EOF: wait for that, not a leak
+            assert _await(lambda: not replica._front.clients, timeout=10.0)
+            opened = open_fds()
+            assert cycle() == []
+            assert _await(lambda: not replica._front.clients, timeout=10.0)
+            assert open_fds() == opened
         finally:
             replica.shutdown()
+
+    def test_shutdown_finishes_inflight_forwards_then_hangs_up(self):
+        replica = ServeDaemon(_socket_path(), workers=1, max_batch=1,
+                              debug_ops=True).start()
+        router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
+                             probe_interval=60.0).start()
+
+        def slow():
+            with DaemonClient(router.address) as client:
+                return client.request({"op": "_sleep", "seconds": 1.0})
+
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool, \
+                    DaemonClient(router.address) as late:
+                assert late.ping()
+                inflight = pool.submit(slow)
+                assert _await(lambda: router.stats()["inflight"]["total"]
+                              >= 1, timeout=10.0)
+                stopping = pool.submit(router.shutdown)
+                assert _await(lambda: not router.running, timeout=10.0)
+                with pytest.raises(DaemonError) as err:
+                    late.request({"op": "_sleep", "seconds": 0.0})
+                assert err.value.code == "shutting_down"
+                assert inflight.result(timeout=30)["slept"] == 1.0
+                stopping.result(timeout=30)
+                with pytest.raises((OSError, ConnectionError)):
+                    late.request({"op": "ping"})         # hung up on
+        finally:
+            router.shutdown()
+            replica.shutdown()
+
+    def test_router_starts_over_a_stale_socket_file(self):
+        path = _socket_path()
+        stale = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        stale.bind(path)
+        stale.close()                    # a dead server's file, left behind
+        assert os.path.exists(path)
+        router = ServeRouter(path, replicas=[_socket_path()],
+                             probe_interval=60.0).start()
+        try:
+            with DaemonClient(path) as client:
+                assert client.request({"op": "ping"})["router"] is True
+        finally:
+            router.shutdown()
+        assert not os.path.exists(path)
+
+    def test_router_refuses_a_live_daemons_path(self):
+        with ServeDaemon(_socket_path(), workers=1, max_batch=1) as daemon:
+            router = ServeRouter(daemon.address, replicas=[_socket_path()])
+            with pytest.raises(RuntimeError, match="live server"):
+                router.start()
+            with DaemonClient(daemon.address) as client:
+                assert client.ping()         # the daemon kept its socket
+
+    def test_frame_that_breaks_its_handler_hangs_up_that_client_only(
+            self, monkeypatch):
+        replica = ServeDaemon(_socket_path(), workers=1, max_batch=1,
+                              debug_ops=True).start()
+        router = ServeRouter(LOOPBACK, replicas=[("g0", replica.address)],
+                             probe_interval=0.5).start()
+        try:
+            with DaemonClient(router.address) as other:
+                assert other.ping()
+
+                def broken(document, op):
+                    raise RuntimeError("route key exploded")
+
+                monkeypatch.setattr(ServeRouter, "_route_key",
+                                    staticmethod(broken))
+                raw = connect_address(router.address, timeout=10.0)
+                raw.settimeout(10.0)
+                try:
+                    raw.sendall(b'{"op": "_sleep", "seconds": 0.0, '
+                                b'"id": "boom"}\n')
+                    reader = raw.makefile("rb")
+                    response = json.loads(reader.readline())
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "bad_request"
+                    assert "route key exploded" in \
+                        response["error"]["message"]
+                    try:
+                        assert reader.readline() == b""      # hung up
+                    except ConnectionResetError:
+                        pass
+                finally:
+                    raw.close()
+                monkeypatch.undo()
+                assert other.ping()
+                assert other.request({"op": "_sleep",
+                                      "seconds": 0.0})["slept"] == 0.0
+        finally:
+            router.shutdown()
+            replica.shutdown()
+
+    def test_replica_whose_connect_never_finishes_does_not_stall(self):
+        """A group whose only replica is a TCP listener with a full accept
+        backlog: its connects never finish, yet requests routed to the
+        healthy group keep their latency."""
+        stuck = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stuck.bind(("127.0.0.1", 0))
+        stuck.listen(0)
+        stuck_address = format_address("tcp", stuck.getsockname())
+        fillers = []
+        for _ in range(64):              # fill the backlog until a connect
+            filler = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            fillers.append(filler)       # hangs
+            filler.setblocking(False)
+            filler.connect_ex(stuck.getsockname())
+            _, writable, _ = select.select([], [filler], [], 0.2)
+            if not writable:
+                break
+        else:
+            pytest.fail("every connect to the stuck listener finished")
+        # group names for which the debug route lands on the healthy group
+        healthy = next(name for name in (f"ok-{i}" for i in range(64))
+                       if HashRing([name, "stuck"]).lookup("debug") == name)
+        replica = ServeDaemon(_socket_path(), workers=1, max_batch=2,
+                              debug_ops=True).start()
+        router = ServeRouter(LOOPBACK,
+                             replicas=[(healthy, replica.address),
+                                       ("stuck", stuck_address)],
+                             probe_interval=0.05).start()
+        try:
+            with DaemonClient(router.address) as client:
+                deadline = time.monotonic() + 1.5
+                while time.monotonic() < deadline:
+                    started = time.monotonic()
+                    assert client.request({"op": "_sleep",
+                                           "seconds": 0.0})["slept"] == 0.0
+                    assert time.monotonic() - started < 1.0
+            stats = router.stats()["replicas"]
+            assert stats[replica.address]["last_probe"] is not None
+            assert stats[stuck_address]["last_probe"] is None
+        finally:
+            router.shutdown()
+            replica.shutdown()
+            for sock in (stuck, *fillers):
+                sock.close()
 
     def test_admission_control_sheds_with_structured_error(self,
                                                            registry_root):
