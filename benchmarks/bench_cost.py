@@ -1,0 +1,176 @@
+"""Cost gate: process CPU time per ``MGAModel.predict``, calibrated.
+
+Every other CI perf gate is a ratio between two configurations of the same
+code (speedup vs seed, tape vs eager, 4 workers vs 1), so a uniformly
+slower ``predict`` passes all of them.  This benchmark measures what one
+predict costs:
+
+* a default-sized MGA model is trained on a small OpenMP dataset (the
+  architecture a daemon serves; training quality does not matter here);
+* queries are the held-out kernels at one unseen working-set size, so
+  every predict batches its graphs afresh, as a cold request does;
+* process CPU time (``time.process_time``) is taken per predict at batch 1
+  and batch 16, and per run of a fixed calibration kernel — small numpy
+  ops behind Python dispatch, like an inference step — timed in the same
+  process and interleaved round by round with the predicts.
+
+Each figure is reported raw (CPU ms per call) and, under ``gate_metrics``,
+as calibration time divided by the figure: each block of predicts is paired
+with the calibration block timed just before it, and the per-round ratios
+are reduced by the median.  The calibrated form is higher-is-better and
+cancels most of the speed difference between machines, which is what
+``check_regression.py`` diffs against ``benchmarks/baselines/``.  The
+batch-16 figure includes the system time of page faults on its larger
+arrays, which differs from process to process by up to 40%, so its
+committed quick baseline is the median of ten runs.
+
+Writes ``BENCH_cost.json`` at the repository root.  Run directly
+(``python benchmarks/bench_cost.py [--quick]``) or through pytest.
+"""
+
+import argparse
+import itertools
+import json
+import os
+import statistics
+import time
+
+if __name__ == "__main__":
+    # one BLAS thread, set before numpy loads: process CPU time then counts
+    # the work done, not idle BLAS threads spinning on tiny matrices
+    for _variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                      "MKL_NUM_THREADS"):
+        os.environ[_variable] = "1"
+
+import numpy as np
+
+from repro.core import MGATuner
+from repro.datasets import OpenMPDatasetBuilder
+from repro.kernels import registry
+from repro.simulator.microarch import COMET_LAKE_8C
+from repro.tuners import thread_search_space
+
+from _harness import write_bench_json
+
+ARCH = COMET_LAKE_8C
+BATCH = 16
+ROUNDS = 15
+#: calls per timed block; each block takes roughly 50-100 ms
+CALLS = {"calibration": 40, "b1": 40, "b16": 5}
+
+
+def calibration_kernel() -> float:
+    """A fixed mix of small matmuls, element-wise ops and Python dispatch."""
+    rng = np.random.default_rng(0)
+    weight = rng.standard_normal((32, 32)) / 8.0
+    rows = rng.standard_normal((16, 32))
+    total = 0.0
+    for _ in range(150):
+        rows = np.tanh(rows @ weight)
+        rows = rows / (1.0 + np.abs(rows).sum(axis=1, keepdims=True))
+        total += float(rows[0, 0])
+    return total
+
+
+def _cpu_s(fn, calls: int) -> float:
+    """Process CPU seconds per call of ``fn`` over ``calls`` calls."""
+    started = time.process_time()
+    for _ in range(calls):
+        fn()
+    return (time.process_time() - started) / calls
+
+
+def _model_and_queries(num_kernels: int, epochs: int):
+    """A fitted model and the (graphs, vectors, extra) of unseen queries."""
+    space = list(thread_search_space(ARCH))
+    specs = registry.openmp_kernels()
+    # every fourth kernel is held out, as in perfbench's serve workloads
+    train = [spec for i, spec in enumerate(specs) if i % 4 != 3][:num_kernels]
+    unseen = [spec for i, spec in enumerate(specs) if i % 4 == 3]
+    builder = OpenMPDatasetBuilder(ARCH, space, seed=0)
+    tuner = MGATuner(ARCH, space, seed=0)
+    tuner.fit(builder.build(train, np.geomspace(1e5, 2e8, 3)),
+              epochs=epochs, dae_epochs=epochs)
+    held_out = builder.build(unseen, [3.2e7])
+    graphs = [s.graph for s in held_out.samples]
+    vectors = np.stack([s.vector for s in held_out.samples])
+    extra = held_out.counter_matrix()
+    return tuner.model, graphs, vectors, extra
+
+
+def run(quick: bool = False) -> dict:
+    model, graphs, vectors, extra = _model_and_queries(
+        num_kernels=6 if quick else 12, epochs=2 if quick else 6)
+    kernels = itertools.cycle(range(len(graphs)))
+
+    def predict_b1():
+        i = next(kernels)
+        model.predict(graphs[i:i + 1], vectors[i:i + 1], extra[i:i + 1])
+
+    def predict_b16():
+        model.predict(graphs[:BATCH], vectors[:BATCH], extra[:BATCH])
+
+    # inference is stateless: the same batch must give the same logits
+    first = model.predict_logits(graphs, vectors, extra)
+    second = model.predict_logits(graphs, vectors, extra)
+    deterministic = first.tobytes() == second.tobytes()
+
+    timed = {"calibration": calibration_kernel, "b1": predict_b1,
+             "b16": predict_b16}
+    for name, fn in timed.items():       # warm-up: caches and lazy set-up
+        _cpu_s(fn, CALLS[name])
+    samples = {name: [] for name in timed}
+    ratios = {"b1": [], "b16": []}
+    for _ in range(ROUNDS):
+        for name in ratios:
+            # each figure is divided by the calibration block right
+            # before it, so both see the same state of a shared host
+            calibration = _cpu_s(calibration_kernel, CALLS["calibration"])
+            figure = _cpu_s(timed[name], CALLS[name])
+            samples["calibration"].append(calibration)
+            samples[name].append(figure)
+            ratios[name].append(calibration / figure)
+
+    result = {
+        "quick": quick,
+        "rounds": ROUNDS,
+        "calls_per_block": CALLS,
+        "queries": len(graphs),
+        "graph_nodes_mean": float(np.mean([g.num_nodes for g in graphs])),
+        "deterministic": deterministic,
+        "cpu_ms_per_call": {name: 1e3 * statistics.median(values)
+                            for name, values in samples.items()},
+        "cpu_ms_per_call_quartiles": {
+            name: [1e3 * q for q in statistics.quantiles(values, n=4)]
+            for name, values in samples.items()},
+        # calibration CPU time / figure, per round, median: higher is better
+        "gate_metrics": {f"predict_{name}_calibrated": statistics.median(r)
+                         for name, r in ratios.items()},
+    }
+    write_bench_json("cost", result)
+    return result
+
+
+def _check(result: dict) -> None:
+    assert result["deterministic"], "repeated predicts gave different logits"
+    for name, ms in result["cpu_ms_per_call"].items():
+        assert ms > 0.0, f"{name}: no CPU time measured"
+
+
+def test_cost(once, capsys):
+    result = once(run, quick=True)
+    with capsys.disabled():
+        print("\n" + json.dumps(
+            {k: result[k] for k in ("cpu_ms_per_call", "gate_metrics")},
+            indent=2))
+    _check(result)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--quick", action="store_true",
+                        help="small training set (CI mode)")
+    args = parser.parse_args()
+    summary = run(quick=args.quick)
+    print(json.dumps(summary, indent=2))
+    _check(summary)

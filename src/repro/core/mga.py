@@ -38,6 +38,7 @@ from repro.nn import (
     concat,
     cross_entropy,
     iterate_minibatches,
+    no_grad,
     train_epoch,
 )
 from repro.nn.layers import Module
@@ -347,7 +348,12 @@ class MGAModel(Module):
     def predict_logits(self, graphs: Sequence[HeteroGraphData],
                        vectors: np.ndarray, extra: np.ndarray,
                        batch: Optional[BatchedHeteroGraph] = None) -> np.ndarray:
-        """Raw classifier logits in eval mode (float64).
+        """Raw classifier logits (float64), with dropout off.
+
+        The forward runs under :func:`repro.nn.no_grad`: it builds no
+        autograd graph, draws from no dropout rng and never writes a
+        module's ``training`` flag, so a predict leaves the model exactly
+        as it found it (a ``fit`` on another thread included).
 
         ``batch`` optionally supplies an already block-diagonal
         :class:`BatchedHeteroGraph` for ``graphs`` (the serving engine caches
@@ -355,11 +361,12 @@ class MGAModel(Module):
         """
         if not self._fitted:
             raise RuntimeError("MGAModel.predict called before fit")
-        self.eval()
-        fused = self._fuse(list(graphs), np.asarray(vectors, dtype=np.float64),
-                           np.asarray(extra, dtype=np.float64), batch=batch)
-        logits = self.head(fused).data
-        self.train()
+        with no_grad():
+            fused = self._fuse(list(graphs),
+                               np.asarray(vectors, dtype=np.float64),
+                               np.asarray(extra, dtype=np.float64),
+                               batch=batch)
+            logits = self.head(fused).data
         return logits.astype(np.float64, copy=False)
 
     def predict_proba(self, graphs: Sequence[HeteroGraphData],

@@ -7,7 +7,7 @@ from typing import List
 import numpy as np
 
 from repro.dae.noise import swap_noise
-from repro.nn.autograd import Tensor
+from repro.nn.autograd import Tensor, no_grad
 from repro.nn.functional import mse_loss
 from repro.nn.layers import Linear, Module, Sequential, Sigmoid
 from repro.nn.optim import AdamW
@@ -97,7 +97,8 @@ class DenoisingAutoencoder(Module):
         """Compressed representation of (possibly unseen) code vectors."""
         if not self._fitted:
             raise RuntimeError("DenoisingAutoencoder.encode called before fit")
-        return self.encoder(Tensor(self._scaled(vectors))).data
+        with no_grad():
+            return self.encoder(Tensor(self._scaled(vectors))).data
 
     def encode_tensor(self, vectors: np.ndarray) -> Tensor:
         """Differentiable encoding (used when fine-tuning end-to-end)."""
@@ -106,7 +107,8 @@ class DenoisingAutoencoder(Module):
     def reconstruction_error(self, vectors: np.ndarray) -> float:
         """Mean squared reconstruction error on clean inputs."""
         scaled = self._scaled(vectors)
-        recon = self.forward(Tensor(scaled))
+        with no_grad():
+            recon = self.forward(Tensor(scaled))
         return float(np.mean((recon.data - scaled) ** 2))
 
     def _scaled(self, vectors: np.ndarray) -> np.ndarray:

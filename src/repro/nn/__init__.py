@@ -20,7 +20,9 @@ from repro.nn.autograd import (
     dropout,
     fast_segment_ops_enabled,
     get_default_dtype,
+    grad_enabled,
     gradcheck,
+    no_grad,
     segment_mean,
     segment_sum,
     stack_rows,
@@ -69,6 +71,8 @@ __all__ = [
     "segment_sum",
     "dropout",
     "gradcheck",
+    "no_grad",
+    "grad_enabled",
     "default_dtype",
     "get_default_dtype",
     "fast_segment_ops_enabled",

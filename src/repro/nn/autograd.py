@@ -46,12 +46,16 @@ backend selection, or scoped with the :func:`default_dtype` and
 :func:`use_fast_segment_ops` context managers.  Every actual change bumps
 the config epoch, so cached tape plans can never replay state recorded
 under a different configuration.
+
+Inference runs under :func:`no_grad`, a thread-local switch: every op
+returns a bare tensor and nothing links into a graph or onto a tape.
 """
 
 from __future__ import annotations
 
 import contextlib
 import operator
+import threading
 from typing import (Callable, Dict, Iterator, List, Optional, Sequence,
                     Tuple, Union)
 
@@ -85,6 +89,37 @@ _TRACE = None
 
 #: Shared empty attribute dict of primitives called without attributes.
 _NO_ATTRS: dict = {}
+
+
+class _GradMode(threading.local):
+    """Per-thread graph-building switch (see :func:`no_grad`)."""
+
+    enabled = True
+
+
+_GRAD_MODE = _GradMode()
+
+
+def grad_enabled() -> bool:
+    """Whether ops on this thread link their outputs into a graph."""
+    return _GRAD_MODE.enabled
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Run the block without building an autograd graph (inference mode).
+
+    Inside it every op returns a bare tensor: no parents, no saved
+    residual, no backward closure and nothing recorded on an active tape.
+    The switch is thread-local, so a predict on one thread never turns off
+    graph building for a ``fit`` running on another.
+    """
+    previous = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = previous
 
 
 def config_epoch() -> int:
@@ -350,6 +385,8 @@ class Primitive:
         else:
             data, saved = self.fwd(EAGER, *map(_data_of, parents), **attrs)
         out = Tensor(data)
+        if not _GRAD_MODE.enabled:
+            return out
         for p in parents:
             if p.requires_grad:
                 out.requires_grad = True
@@ -514,10 +551,10 @@ class Tensor:
         """A node with a hand-written backward closure instead of a
         :class:`Primitive`.  Eager backward runs it; the tape cannot replay
         it, so a step containing one stays eager."""
-        requires = any(p.requires_grad for p in parents)
-        out = Tensor(data, requires_grad=requires, parents=parents,
-                     backward=backward if requires else None)
-        return out
+        if not (_GRAD_MODE.enabled and any(p.requires_grad for p in parents)):
+            return Tensor(data)
+        return Tensor(data, requires_grad=True, parents=parents,
+                      backward=backward)
 
     # ------------------------------------------------------------------
     # arithmetic

@@ -6,7 +6,8 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.nn import init
 from repro.nn.backend import xp
-from repro.nn.autograd import Tensor, dropout as dropout_fn, get_default_dtype
+from repro.nn.autograd import (Tensor, dropout as dropout_fn,
+                               get_default_dtype, grad_enabled)
 
 
 class Module:
@@ -217,7 +218,7 @@ class Tanh(Module):
 
 
 class Dropout(Module):
-    """Inverted dropout; inactive in eval mode."""
+    """Inverted dropout; inactive in eval mode and under ``no_grad()``."""
 
     def __init__(self, rate: float = 0.1, seed: int = 0):
         super().__init__()
@@ -227,7 +228,8 @@ class Dropout(Module):
         self._rng = xp.default_rng(seed)
 
     def forward(self, x: Tensor) -> Tensor:
-        return dropout_fn(x, self.rate, self._rng, training=self.training)
+        return dropout_fn(x, self.rate, self._rng,
+                          training=self.training and grad_enabled())
 
 
 class Sequential(Module):

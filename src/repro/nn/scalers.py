@@ -96,31 +96,54 @@ class GaussRankScaler:
     Each feature is mapped to the quantiles of a standard normal via its rank
     in the training data; unseen values are interpolated between the training
     values' ranks.
+
+    ``transform`` ranks every column in one pass.  Each value is first
+    replaced by its integer rank among *all* reference values, which keeps
+    the order of values within a column (NaN included, as the largest).
+    Offsetting those integers by column turns the per-column lookups into
+    one ``searchsorted`` over a single sorted key array.  The ranks are
+    exact integers, so the output is bit-identical to ranking column by
+    column with ``searchsorted(side="left")``.
     """
 
     def __init__(self, epsilon: float = 1e-3):
         self.epsilon = float(epsilon)
-        self.sorted_: Optional[list] = None
+        #: [n_features, n] sorted training values, one row per feature
+        self.sorted_: Optional[xp.ndarray] = None
 
     def fit(self, x: xp.ndarray) -> "GaussRankScaler":
         x = xp.asarray(x, dtype=xp.float64)
         if x.ndim != 2:
             raise ValueError("GaussRankScaler expects a 2-D matrix")
-        self.sorted_ = [xp.sort(x[:, j]) for j in range(x.shape[1])]
+        self._set_reference(xp.sort(x.T, axis=1))
         return self
+
+    def _set_reference(self, ref: xp.ndarray) -> None:
+        features, n = ref.shape
+        self.sorted_ = ref
+        #: every reference value, sorted: the global rank scale
+        self._values = xp.sort(ref, axis=None)
+        #: column j's global ranks live in [j * stride, (j + 1) * stride)
+        self._offsets = xp.arange(features, dtype=xp.int64) \
+            * (self._values.size + 1)
+        self._keys = (xp.searchsorted(self._values, ref, side="left")
+                      + self._offsets[:, None]).ravel()
+        #: position of column j's first key in ``_keys``
+        self._starts = xp.arange(features, dtype=xp.int64) * n
 
     def transform(self, x: xp.ndarray) -> xp.ndarray:
         if self.sorted_ is None:
             raise RuntimeError("scaler is not fitted")
         x = xp.asarray(x, dtype=xp.float64)
-        out = xp.empty_like(x)
-        for j, ref in enumerate(self.sorted_):
-            n = len(ref)
-            # rank of each value among the training values, in (0, 1)
-            ranks = xp.searchsorted(ref, x[:, j], side="left").astype(xp.float64)
-            frac = xp.clip(ranks / max(n - 1, 1), self.epsilon, 1.0 - self.epsilon)
-            out[:, j] = xp.sqrt(2.0) * erfinv(2.0 * frac - 1.0)
-        return out
+        if x.ndim != 2 or x.shape[1] != self.sorted_.shape[0]:
+            raise ValueError(f"expected a [n, {self.sorted_.shape[0]}] matrix")
+        codes = xp.searchsorted(self._values, x, side="left") + self._offsets
+        # rank of each value among its column's training values, in (0, 1)
+        ranks = (xp.searchsorted(self._keys, codes, side="left")
+                 - self._starts).astype(xp.float64)
+        n = self.sorted_.shape[1]
+        frac = xp.clip(ranks / max(n - 1, 1), self.epsilon, 1.0 - self.epsilon)
+        return xp.sqrt(2.0) * erfinv(2.0 * frac - 1.0)
 
     def fit_transform(self, x: xp.ndarray) -> xp.ndarray:
         return self.fit(x).transform(x)
@@ -128,11 +151,9 @@ class GaussRankScaler:
     def get_state(self) -> Dict[str, xp.ndarray]:
         if self.sorted_ is None:
             return {}
-        # the per-column reference arrays all have the training-set length,
-        # so the whole fitted state stacks into one [n_features, n] matrix
-        return {"sorted": xp.stack(self.sorted_, axis=0)}
+        return {"sorted": self.sorted_.copy()}
 
     def set_state(self, state: Dict[str, xp.ndarray]) -> None:
         if "sorted" in state:
-            matrix = xp.asarray(state["sorted"], dtype=xp.float64)
-            self.sorted_ = [matrix[j].copy() for j in range(matrix.shape[0])]
+            self._set_reference(
+                xp.array(state["sorted"], dtype=xp.float64, copy=True))

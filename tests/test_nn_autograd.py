@@ -1,5 +1,7 @@
 """Autograd engine tests, including hypothesis-driven gradient checks."""
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,15 +18,18 @@ from repro.nn import (
     default_dtype,
     dropout,
     get_default_dtype,
+    grad_enabled,
     gradcheck,
     log_softmax,
     mse_loss,
+    no_grad,
     segment_mean,
     segment_sum,
     softmax,
     stack_rows,
     use_fast_segment_ops,
 )
+from repro.nn.tape import Tape
 
 small_matrix = arrays(np.float64, (3, 4),
                       elements=st.floats(-2.0, 2.0, allow_nan=False))
@@ -286,3 +291,84 @@ class TestUtilities:
         t = Tensor([1.0])
         assert as_tensor(t) is t
         assert isinstance(as_tensor(2.0), Tensor)
+
+
+def _assert_bare(t: Tensor) -> None:
+    """``t`` is a graph leaf: nothing links it to what produced it."""
+    assert not t.requires_grad
+    assert t._parents == ()
+    assert t._prim is None and t._saved is None and t._backward is None
+
+
+class TestNoGrad:
+    def test_primitive_output_is_bare(self):
+        w = Tensor(np.ones((3, 2)), requires_grad=True)
+        x = Tensor(np.arange(6.0).reshape(2, 3))
+        with no_grad():
+            out = (x @ w).relu()          # relu saves a mask when linked
+        _assert_bare(out)
+        np.testing.assert_array_equal(out.data, (x @ w).relu().data)
+
+    def test_make_output_is_bare(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        calls = []
+        with no_grad():
+            out = Tensor._make(x.data * 2.0, (x,), calls.append)
+        _assert_bare(out)
+        linked = Tensor._make(x.data * 2.0, (x,), calls.append)
+        assert linked.requires_grad and linked._parents == (x,)
+
+    def test_nested_blocks_restore_the_outer_state(self):
+        assert grad_enabled()
+        with no_grad():
+            assert not grad_enabled()
+            with no_grad():
+                assert not grad_enabled()
+            assert not grad_enabled()
+        assert grad_enabled()
+
+    def test_exception_inside_the_block_restores_the_state(self):
+        with pytest.raises(ZeroDivisionError):
+            with no_grad():
+                1 / 0
+        assert grad_enabled()
+        x = Tensor(np.ones(2), requires_grad=True)
+        (x * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [3.0, 3.0])
+
+    def test_other_threads_still_build_graphs(self):
+        inside, done = threading.Event(), threading.Event()
+        seen = {}
+
+        def predictor():
+            with no_grad():
+                inside.set()
+                done.wait(timeout=10)
+                seen["predictor"] = grad_enabled()
+
+        thread = threading.Thread(target=predictor)
+        thread.start()
+        try:
+            assert inside.wait(timeout=10)
+            seen["trainer"] = grad_enabled()
+            x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+            loss = (x * x).sum()
+            loss.backward()
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert seen == {"trainer": True, "predictor": False}
+        assert loss._parents
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+    def test_tape_records_nothing_from_a_no_grad_region(self):
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        x = Tensor(np.ones((1, 2)))
+        tape = Tape()
+        with tape.recording():
+            outside = (x @ w).tanh()
+            with no_grad():
+                (x @ w).tanh().sum()
+        assert [t._prim.name for t in tape.records] == ["matmul", "tanh"]
+        assert tape.records[-1] is outside

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erfinv
 
 from repro.nn import (
     Adam,
@@ -165,6 +167,55 @@ class TestScalers:
         scaler = GaussRankScaler().fit(x)
         z = scaler.transform(np.sort(x, axis=0))
         assert np.all(np.diff(z[:, 0]) >= -1e-12)
+
+
+def _gauss_rank_by_column(scaler: GaussRankScaler, x: np.ndarray) -> np.ndarray:
+    """The per-column loop ``GaussRankScaler.transform`` used to run."""
+    out = np.empty_like(x)
+    for j, ref in enumerate(scaler.sorted_):
+        n = len(ref)
+        ranks = np.searchsorted(ref, x[:, j], side="left").astype(np.float64)
+        frac = np.clip(ranks / max(n - 1, 1), scaler.epsilon,
+                       1.0 - scaler.epsilon)
+        out[:, j] = np.sqrt(2.0) * erfinv(2.0 * frac - 1.0)
+    return out
+
+
+#: a few finite values (so training columns repeat them), the extremes,
+#: signed zeros, infinities and NaN
+_EDGE_FLOATS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e300, -1e300,
+                                5e-324, np.inf, -np.inf, np.nan])
+_ANY_FLOAT = st.one_of(_EDGE_FLOATS, st.floats(allow_nan=True,
+                                               allow_infinity=True))
+
+
+class TestGaussRankVectorised:
+    """One-pass ranking equals the per-column ``searchsorted`` byte for byte."""
+
+    @given(data=st.data(), n=st.integers(1, 12), d=st.integers(1, 5))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_per_column_loop(self, data, n, d):
+        train = data.draw(arrays(np.float64, (n, d), elements=_ANY_FLOAT))
+        scaler = GaussRankScaler().fit(train)
+        # repeats of the reference values, plus anything at all
+        picks = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, d - 1)),
+                                   max_size=4))
+        rows = [train[i, j] * np.ones(d) for i, j in picks]
+        fresh = data.draw(arrays(np.float64, (data.draw(st.integers(0, 5)), d),
+                                 elements=_ANY_FLOAT))
+        x = np.concatenate([train, np.reshape(rows, (-1, d)), fresh])
+        expected = _gauss_rank_by_column(scaler, x)
+        assert scaler.transform(x).tobytes() == expected.tobytes()
+
+        clone = GaussRankScaler()
+        clone.set_state(scaler.get_state())
+        assert clone.transform(x).tobytes() == expected.tobytes()
+
+    def test_rejects_a_matrix_of_the_wrong_width(self):
+        scaler = GaussRankScaler().fit(np.ones((4, 3)))
+        with pytest.raises(ValueError):
+            scaler.transform(np.ones((2, 2)))
 
 
 class TestTrainingUtilities:

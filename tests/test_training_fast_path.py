@@ -22,7 +22,8 @@ from repro.gnn.conv import (
     SAGEConv,
 )
 from repro.graphs.hetero import EdgeLayout, GraphBatchCache
-from repro.nn import Tensor, use_fast_segment_ops
+from repro.nn import Dropout, Tensor, use_fast_segment_ops
+from repro.nn.layers import Module
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_mga_float64.npz"
 
@@ -162,6 +163,44 @@ class TestDtype:
         model.fit(graphs, vectors, extra, ds.labels(), epochs=2, dae_epochs=2)
         proba = model.predict_proba(graphs, vectors, extra)
         np.testing.assert_allclose(proba.sum(axis=1), 1.0, atol=1e-9)
+
+
+class TestStatelessPredict:
+    """A predict reads the model it serves and never writes to it."""
+
+    def test_predict_leaves_modes_and_dropout_rng_alone(
+            self, small_openmp_dataset, monkeypatch):
+        ds = small_openmp_dataset
+        graphs = [s.graph for s in ds.samples]
+        vectors = np.stack([s.vector for s in ds.samples])
+        extra = ds.counter_matrix()
+        model = MGAModel(graphs[0].feature_dim, vectors.shape[1],
+                         extra.shape[1], ds.num_configs, gnn_hidden=12,
+                         gnn_out=12, dae_hidden=24, dae_code=8, mlp_hidden=16,
+                         dropout=0.5, seed=0)
+        model.fit(graphs, vectors, extra, ds.labels(), epochs=1, dae_epochs=1)
+        dropouts = [m for m in model.named_modules().values()
+                    if isinstance(m, Dropout)]
+        assert dropouts, "the head is expected to carry a dropout layer"
+
+        def refuse(self, mode=True):
+            raise AssertionError("predict must not call Module.train")
+
+        logits = {}
+        for mode in (True, False):
+            model.train(mode)
+            flags = {name: m.training
+                     for name, m in model.named_modules().items()}
+            rng_states = [d._rng.bit_generator.state for d in dropouts]
+            with monkeypatch.context() as patch:
+                patch.setattr(Module, "train", refuse)
+                logits[mode] = model.predict_logits(graphs[:6], vectors[:6],
+                                                    extra[:6])
+            assert {name: m.training
+                    for name, m in model.named_modules().items()} == flags
+            assert [d._rng.bit_generator.state
+                    for d in dropouts] == rng_states
+        np.testing.assert_array_equal(logits[True], logits[False])
 
 
 class TestEarlyStopping:
