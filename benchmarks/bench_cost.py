@@ -1,4 +1,4 @@
-"""Cost gate: process CPU time per ``MGAModel.predict``, calibrated.
+"""Cost gate: process CPU per ``MGAModel.predict`` and cold request, calibrated.
 
 Every other CI perf gate is a ratio between two configurations of the same
 code (speedup vs seed, tape vs eager, 4 workers vs 1), so a uniformly
@@ -12,7 +12,12 @@ predict costs:
 * process CPU time (``time.process_time``) is taken per predict at batch 1
   and batch 16, and per run of a fixed calibration kernel — small numpy
   ops behind Python dispatch, like an inference step — timed in the same
-  process and interleaved round by round with the predicts.
+  process and interleaved round by round with the predicts;
+* ``engine_cold_b1`` is one cold request through
+  ``InferenceEngine.predict_batch`` at batch 1: its scale was never asked
+  before, so it misses the feature and result caches and pays profiling
+  under the default config, but its kernel was seen in warm-up, so the
+  per-kernel code cache spares it the GNN and the DAE.
 
 Each figure is reported raw (CPU ms per call) and, under ``gate_metrics``,
 as calibration time divided by the figure: each block of predicts is paired
@@ -47,6 +52,7 @@ import numpy as np
 from repro.core import MGATuner
 from repro.datasets import OpenMPDatasetBuilder
 from repro.kernels import registry
+from repro.serve import InferenceEngine
 from repro.simulator.microarch import COMET_LAKE_8C
 from repro.tuners import thread_search_space
 
@@ -56,7 +62,10 @@ ARCH = COMET_LAKE_8C
 BATCH = 16
 ROUNDS = 15
 #: calls per timed block; each block takes roughly 50-100 ms
-CALLS = {"calibration": 40, "b1": 40, "b16": 5}
+CALLS = {"calibration": 40, "b1": 40, "b16": 5, "engine_cold_b1": 120}
+#: timed figure -> its gate metric (``<name>_calibrated``)
+GATED = {"b1": "predict_b1", "b16": "predict_b16",
+         "engine_cold_b1": "engine_cold_b1"}
 
 
 def calibration_kernel() -> float:
@@ -81,7 +90,7 @@ def _cpu_s(fn, calls: int) -> float:
 
 
 def _model_and_queries(num_kernels: int, epochs: int):
-    """A fitted model and the (graphs, vectors, extra) of unseen queries."""
+    """A fitted tuner, the unseen kernels and their (graphs, vectors, extra)."""
     space = list(thread_search_space(ARCH))
     specs = registry.openmp_kernels()
     # every fourth kernel is held out, as in perfbench's serve workloads
@@ -95,13 +104,17 @@ def _model_and_queries(num_kernels: int, epochs: int):
     graphs = [s.graph for s in held_out.samples]
     vectors = np.stack([s.vector for s in held_out.samples])
     extra = held_out.counter_matrix()
-    return tuner.model, graphs, vectors, extra
+    return tuner, unseen, graphs, vectors, extra
 
 
 def run(quick: bool = False) -> dict:
-    model, graphs, vectors, extra = _model_and_queries(
+    tuner, unseen, graphs, vectors, extra = _model_and_queries(
         num_kernels=6 if quick else 12, epochs=2 if quick else 6)
+    model = tuner.model
     kernels = itertools.cycle(range(len(graphs)))
+    engine = InferenceEngine(tuner)
+    engine_kernels = itertools.cycle(unseen)
+    scales = itertools.count()
 
     def predict_b1():
         i = next(kernels)
@@ -110,17 +123,24 @@ def run(quick: bool = False) -> dict:
     def predict_b16():
         model.predict(graphs[:BATCH], vectors[:BATCH], extra[:BATCH])
 
+    def engine_cold_b1():
+        # a scale never asked before misses the feature and result caches,
+        # so the request pays profiling and a predict; its kernel was seen
+        # in warm-up, as a daemon worker's kernels are
+        engine.predict_batch([(next(engine_kernels),
+                               1.0 + 1e-4 * next(scales))])
+
     # inference is stateless: the same batch must give the same logits
     first = model.predict_logits(graphs, vectors, extra)
     second = model.predict_logits(graphs, vectors, extra)
     deterministic = first.tobytes() == second.tobytes()
 
     timed = {"calibration": calibration_kernel, "b1": predict_b1,
-             "b16": predict_b16}
+             "b16": predict_b16, "engine_cold_b1": engine_cold_b1}
     for name, fn in timed.items():       # warm-up: caches and lazy set-up
         _cpu_s(fn, CALLS[name])
     samples = {name: [] for name in timed}
-    ratios = {"b1": [], "b16": []}
+    ratios = {name: [] for name in GATED}
     for _ in range(ROUNDS):
         for name in ratios:
             # each figure is divided by the calibration block right
@@ -144,9 +164,14 @@ def run(quick: bool = False) -> dict:
             name: [1e3 * q for q in statistics.quantiles(values, n=4)]
             for name, values in samples.items()},
         # calibration CPU time / figure, per round, median: higher is better
-        "gate_metrics": {f"predict_{name}_calibrated": statistics.median(r)
+        "gate_metrics": {f"{GATED[name]}_calibrated": statistics.median(r)
                          for name, r in ratios.items()},
     }
+    engine.close()
+    stats = engine.stats()
+    result["engine"] = {key: stats[key] for key in (
+        "cache_hit_rate", "result_cache_hit_rate", "code_cache_hits",
+        "code_cache_misses")}
     write_bench_json("cost", result)
     return result
 
@@ -155,6 +180,11 @@ def _check(result: dict) -> None:
     assert result["deterministic"], "repeated predicts gave different logits"
     for name, ms in result["cpu_ms_per_call"].items():
         assert ms > 0.0, f"{name}: no CPU time measured"
+    engine = result["engine"]
+    assert engine["cache_hit_rate"] == engine["result_cache_hit_rate"] == 0.0, \
+        "engine_cold_b1 requests must miss the feature and result caches"
+    assert engine["code_cache_misses"] == result["queries"], \
+        "each unseen kernel's codes must be encoded exactly once"
 
 
 def test_cost(once, capsys):

@@ -189,16 +189,40 @@ class MGAModel(Module):
         scaled = self.extra_scaler.transform(self.prepare_extra(extra))
         return scaled.astype(self._dtype, copy=False)
 
-    def _fuse(self, graphs: Sequence[HeteroGraphData], vectors: np.ndarray,
-              extra: np.ndarray,
-              batch: Optional[BatchedHeteroGraph] = None) -> Tensor:
+    def static_codes(self, graphs: Sequence[HeteroGraphData],
+                     vectors: np.ndarray,
+                     batch: Optional[BatchedHeteroGraph] = None
+                     ) -> np.ndarray:
+        """The input-independent half of inference: ``[n, gnn_out + dae_code]``.
+
+        The GNN embedding of each graph and the DAE code of each vector,
+        side by side (``[n, 0]`` when neither static modality is on).  They
+        depend on the kernel only, never on its input, so a caller may
+        compute them once per kernel and hand them to :meth:`predict_logits`
+        as ``codes``.  Runs under :func:`repro.nn.no_grad`.
+
+        ``batch`` optionally supplies an already block-diagonal
+        :class:`BatchedHeteroGraph` for ``graphs``, skipping the per-call
+        batch construction.
+        """
+        parts: List[np.ndarray] = []
+        with no_grad():
+            if self.modalities.use_graph:
+                if batch is None:
+                    batch = batch_graphs(list(graphs))
+                parts.append(self.gnn(batch).data)
+            if self.modalities.use_vector:
+                parts.append(self.dae.encode(
+                    np.asarray(vectors, dtype=np.float64)).astype(
+                        self._dtype, copy=False))
+        if not parts:
+            return np.zeros((len(graphs), 0), dtype=self._dtype)
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def _fuse(self, codes: np.ndarray, extra: np.ndarray) -> Tensor:
+        """The head's input: ``codes`` beside the scaled extra features."""
         parts: List[Tensor] = []
-        if self.modalities.use_graph:
-            if batch is None:
-                batch = batch_graphs(list(graphs))
-            parts.append(self.gnn(batch))
-        if self.modalities.use_vector:
-            codes = self.dae.encode(vectors).astype(self._dtype, copy=False)
+        if codes.shape[1]:
             parts.append(Tensor(codes))
         if self.modalities.use_extra:
             parts.append(Tensor(self._scaled_extra(extra)))
@@ -345,9 +369,9 @@ class MGAModel(Module):
         return history
 
     # ------------------------------------------------------------------
-    def predict_logits(self, graphs: Sequence[HeteroGraphData],
-                       vectors: np.ndarray, extra: np.ndarray,
-                       batch: Optional[BatchedHeteroGraph] = None) -> np.ndarray:
+    def predict_logits(self, graphs: Optional[Sequence[HeteroGraphData]],
+                       vectors: Optional[np.ndarray], extra: np.ndarray,
+                       codes: Optional[np.ndarray] = None) -> np.ndarray:
         """Raw classifier logits (float64), with dropout off.
 
         The forward runs under :func:`repro.nn.no_grad`: it builds no
@@ -355,30 +379,30 @@ class MGAModel(Module):
         module's ``training`` flag, so a predict leaves the model exactly
         as it found it (a ``fit`` on another thread included).
 
-        ``batch`` optionally supplies an already block-diagonal
-        :class:`BatchedHeteroGraph` for ``graphs`` (the serving engine caches
-        these), skipping the per-call batch construction.
+        ``codes`` optionally supplies :meth:`static_codes` rows for the
+        samples (the serving engine caches them per kernel); ``graphs`` and
+        ``vectors`` are then not read.  Cached or not, the head sees the
+        same fused rows, so the logits are byte-identical.
         """
         if not self._fitted:
             raise RuntimeError("MGAModel.predict called before fit")
+        if codes is None:
+            codes = self.static_codes(graphs, vectors)
         with no_grad():
-            fused = self._fuse(list(graphs),
-                               np.asarray(vectors, dtype=np.float64),
-                               np.asarray(extra, dtype=np.float64),
-                               batch=batch)
+            fused = self._fuse(codes, np.asarray(extra, dtype=np.float64))
             logits = self.head(fused).data
         return logits.astype(np.float64, copy=False)
 
-    def predict_proba(self, graphs: Sequence[HeteroGraphData],
-                      vectors: np.ndarray, extra: np.ndarray,
-                      batch: Optional[BatchedHeteroGraph] = None) -> np.ndarray:
-        logits = self.predict_logits(graphs, vectors, extra, batch=batch)
+    def predict_proba(self, graphs: Optional[Sequence[HeteroGraphData]],
+                      vectors: Optional[np.ndarray], extra: np.ndarray,
+                      codes: Optional[np.ndarray] = None) -> np.ndarray:
+        logits = self.predict_logits(graphs, vectors, extra, codes=codes)
         logits = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(logits)
         return exp / exp.sum(axis=1, keepdims=True)
 
-    def predict(self, graphs: Sequence[HeteroGraphData], vectors: np.ndarray,
-                extra: np.ndarray,
-                batch: Optional[BatchedHeteroGraph] = None) -> np.ndarray:
+    def predict(self, graphs: Optional[Sequence[HeteroGraphData]],
+                vectors: Optional[np.ndarray], extra: np.ndarray,
+                codes: Optional[np.ndarray] = None) -> np.ndarray:
         return self.predict_proba(graphs, vectors, extra,
-                                  batch=batch).argmax(axis=1)
+                                  codes=codes).argmax(axis=1)

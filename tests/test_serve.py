@@ -231,6 +231,81 @@ class TestInferenceEngine:
 
 
 # ----------------------------------------------------------------------
+#: every fourth OpenMP kernel, as the benchmarks hold them out
+UNSEEN = [spec for i, spec in enumerate(kernel_registry.openmp_kernels())
+          if i % 4 == 3]
+
+
+class TestStaticCodeCache:
+    """Per-kernel GNN/DAE codes are computed once and reused across scales."""
+
+    def test_one_miss_per_kernel_and_answers_match_tuner(self,
+                                                         trained_tuner):
+        tuner, _ = trained_tuner
+        # each kernel's three scales sit side by side, so chunks of 8
+        # repeat kernels within a batch as well as across batches
+        queries = [(spec, scale) for spec in UNSEEN
+                   for scale in (0.5, 1.0, 1.5)]
+        with InferenceEngine(tuner, max_batch_size=8) as engine:
+            answers = engine.predict_batch(queries)
+            stats = engine.stats()
+        assert answers == [tuner.tune(spec, scale=scale)
+                           for spec, scale in queries]
+        assert stats["code_cache_misses"] == len(UNSEEN)
+        assert stats["code_cache_hits"] == len(queries) - len(UNSEEN)
+        assert stats["code_cache_entries"] == len(UNSEEN)
+
+    def test_map_requests_share_codes_across_sizes(self, trained_mapper):
+        mapper, _ = trained_mapper
+        specs = kernel_registry.opencl_kernels()[12:16]
+        queries = [(spec, transfer, wgsize) for spec in specs
+                   for transfer, wgsize in ((2e6, 64), (8e6, 128),
+                                            (3e7, 256))]
+        with InferenceEngine(mapper, max_wait_ms=1.0) as engine:
+            labels = [engine.map_device(*query) for query in queries]
+            stats = engine.stats()
+        assert labels == [mapper.map_device(*query) for query in queries]
+        assert stats["code_cache_misses"] == len(specs)
+        assert stats["code_cache_hits"] == len(queries) - len(specs)
+
+    def test_bounded_by_cache_size(self, trained_tuner):
+        tuner, _ = trained_tuner
+        queries = [(spec, scale) for scale in (0.5, 1.0, 1.5)
+                   for spec in UNSEEN[:3]]
+        with InferenceEngine(tuner, max_batch_size=2,
+                             cache_size=2) as engine:
+            answers = engine.predict_batch(queries)
+            stats = engine.stats()
+        assert answers == [tuner.tune(spec, scale=scale)
+                           for spec, scale in queries]
+        assert stats["code_cache_entries"] <= 2
+        # cycling three kernels through two slots evicts before each reuse
+        assert stats["code_cache_misses"] > 3
+
+    def test_each_engine_answers_as_its_own_model(self, trained_tuner,
+                                                  small_openmp_dataset,
+                                                  extractor):
+        tuner, _ = trained_tuner
+        other = MGATuner(COMET_LAKE_8C, small_openmp_dataset.configs,
+                         extractor=extractor, seed=5, **TRAIN_KW)
+        other.fit(small_openmp_dataset, epochs=2, dae_epochs=2)
+        queries = [(spec, scale) for spec in UNSEEN
+                   for scale in (0.5, 1.5)]
+        expected = [[t.tune(spec, scale=scale)[0] for spec, scale in queries]
+                    for t in (tuner, other)]
+        # the two versions must disagree somewhere for the check to bite
+        assert expected[0] != expected[1]
+        answers = [[], []]
+        with InferenceEngine(tuner) as first, \
+                InferenceEngine(other) as second:
+            for query in queries:           # the same kernel, interleaved
+                for engine, out in zip((first, second), answers):
+                    out.append(engine.predict_batch([query])[0][0])
+            assert first.stats()["code_cache_hits"] == len(UNSEEN)
+        assert answers == expected
+
+
+# ----------------------------------------------------------------------
 class TestTuningService:
     def test_tune_and_map_end_to_end(self, tmp_path, trained_tuner,
                                      trained_mapper):

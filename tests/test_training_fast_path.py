@@ -11,8 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.mga import MGAModel
+from repro.core.mga import MGAModel, ModalityConfig
+from repro.datasets.openmp import OpenMPDatasetBuilder
 from repro.gnn.conv import (
     FusedGRUCell,
     GATConv,
@@ -22,8 +25,12 @@ from repro.gnn.conv import (
     SAGEConv,
 )
 from repro.graphs.hetero import EdgeLayout, GraphBatchCache
+from repro.kernels import registry
 from repro.nn import Dropout, Tensor, use_fast_segment_ops
 from repro.nn.layers import Module
+from repro.nn.tape import Tape
+from repro.simulator.microarch import COMET_LAKE_8C
+from repro.tuners.space import thread_search_space
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_mga_float64.npz"
 
@@ -201,6 +208,111 @@ class TestStatelessPredict:
             assert [d._rng.bit_generator.state
                     for d in dropouts] == rng_states
         np.testing.assert_array_equal(logits[True], logits[False])
+
+
+#: model variants whose static codes do not depend on the batch at all
+EXACT_CODES = {
+    "default": {},
+    "homogeneous": dict(hetero=False),
+    "programl": dict(modalities=ModalityConfig.programl()),
+    "dynamic_only": dict(modalities=ModalityConfig.dynamic_only()),
+}
+#: variants whose codes move at the last bit with the batch's other
+#: members; their full predict_logits already did so before the codes were
+#: split out (same size of error, equal argmax), so the split adds no new
+#: kind of batch dependence: (constructor arguments, rtol)
+CLOSE_CODES = {
+    "gat": (dict(conv_type="gat"), 1e-6),
+    "float64": (dict(dtype="float64"), 1e-12),
+}
+
+
+@pytest.fixture(scope="module")
+def held_out(extractor):
+    """Graphs, vectors and counters of every fourth (unseen) kernel."""
+    specs = [spec for i, spec in enumerate(registry.openmp_kernels())
+             if i % 4 == 3]
+    builder = OpenMPDatasetBuilder(COMET_LAKE_8C,
+                                   list(thread_search_space(COMET_LAKE_8C)),
+                                   extractor=extractor, seed=0)
+    dataset = builder.build(specs, [3.2e7])
+    return ([s.graph for s in dataset.samples],
+            np.stack([s.vector for s in dataset.samples]),
+            dataset.counter_matrix())
+
+
+@pytest.fixture(scope="module")
+def code_models(small_openmp_dataset):
+    """Default-sized models, one per variant, fitted for one epoch."""
+    ds = small_openmp_dataset
+    graphs = [s.graph for s in ds.samples]
+    vectors = np.stack([s.vector for s in ds.samples])
+    extra = ds.counter_matrix()
+    variants = dict(EXACT_CODES)
+    variants.update({name: kwargs
+                     for name, (kwargs, _) in CLOSE_CODES.items()})
+    models = {}
+    for name, kwargs in variants.items():
+        model = MGAModel(graphs[0].feature_dim, vectors.shape[1],
+                         extra.shape[1], ds.num_configs, seed=0, **kwargs)
+        model.fit(graphs, vectors, extra, ds.labels(), epochs=1,
+                  dae_epochs=1)
+        models[name] = model
+    return models
+
+
+_SUBSETS = st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True)
+
+
+class TestStaticCodes:
+    """Per-kernel codes: the input-independent half of inference."""
+
+    def _alone_and_batched(self, model, held_out, subset):
+        graphs, vectors, _ = held_out
+        alone = np.concatenate([model.static_codes(graphs[i:i + 1],
+                                                   vectors[i:i + 1])
+                                for i in subset])
+        batched = model.static_codes([graphs[i] for i in subset],
+                                     vectors[subset])
+        return alone, batched
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CODES))
+    @given(subset=_SUBSETS)
+    @settings(max_examples=15, deadline=None)
+    def test_codes_do_not_depend_on_the_batch(self, code_models, held_out,
+                                              name, subset):
+        model = code_models[name]
+        alone, batched = self._alone_and_batched(model, held_out, subset)
+        static_width = model.fused_dim - model.extra_dim
+        assert batched.shape == (len(subset), static_width)
+        assert batched.tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(CLOSE_CODES))
+    @given(subset=_SUBSETS)
+    @settings(max_examples=15, deadline=None)
+    def test_last_bit_batch_dependence_is_bounded(self, code_models,
+                                                  held_out, name, subset):
+        alone, batched = self._alone_and_batched(code_models[name], held_out,
+                                                 subset)
+        assert np.allclose(batched, alone, rtol=CLOSE_CODES[name][1])
+
+    @pytest.mark.parametrize("name", sorted(EXACT_CODES) + sorted(CLOSE_CODES))
+    def test_predict_from_codes_is_byte_equal(self, code_models, held_out,
+                                              name):
+        model = code_models[name]
+        graphs, vectors, extra = held_out
+        codes = model.static_codes(graphs, vectors)
+        assert model.predict_logits(None, None, extra, codes=codes).tobytes() \
+            == model.predict_logits(graphs, vectors, extra).tobytes()
+
+    def test_codes_are_bare_data_and_record_nothing(self, code_models,
+                                                    held_out):
+        graphs, vectors, _ = held_out
+        tape = Tape()
+        with tape.recording():
+            codes = code_models["default"].static_codes(graphs, vectors)
+        assert type(codes) is np.ndarray
+        assert tape.records == []
 
 
 class TestEarlyStopping:
