@@ -1,4 +1,4 @@
-"""Cost gate: process CPU per ``MGAModel.predict`` and cold request, calibrated.
+"""Cost gate: CPU per ``predict``, cold request and daemon import, calibrated.
 
 Every other CI perf gate is a ratio between two configurations of the same
 code (speedup vs seed, tape vs eager, 4 workers vs 1), so a uniformly
@@ -17,7 +17,12 @@ predict costs:
   ``InferenceEngine.predict_batch`` at batch 1: its scale was never asked
   before, so it misses the feature and result caches and pays profiling
   under the default config, but its kernel was seen in warm-up, so the
-  per-kernel code cache spares it the GNN and the DAE.
+  per-kernel code cache spares it the GNN and the DAE;
+* ``serve_import`` is the cold start of a daemon: the CPU time, summed over
+  user and system (``RUSAGE_CHILDREN``), of a fresh interpreter that
+  imports what ``python -m repro.serve daemon`` imports before it forks its
+  workers.  Its workers inherit those modules, so this is most of what a
+  daemon pays between launch and ready.
 
 Each figure is reported raw (CPU ms per call) and, under ``gate_metrics``,
 as calibration time divided by the figure: each block of predicts is paired
@@ -37,7 +42,10 @@ import argparse
 import itertools
 import json
 import os
+import resource
 import statistics
+import subprocess
+import sys
 import time
 
 if __name__ == "__main__":
@@ -49,6 +57,7 @@ if __name__ == "__main__":
 
 import numpy as np
 
+import repro
 from repro.core import MGATuner
 from repro.datasets import OpenMPDatasetBuilder
 from repro.kernels import registry
@@ -61,11 +70,20 @@ from _harness import write_bench_json
 ARCH = COMET_LAKE_8C
 BATCH = 16
 ROUNDS = 15
-#: calls per timed block; each block takes roughly 50-100 ms
-CALLS = {"calibration": 40, "b1": 40, "b16": 5, "engine_cold_b1": 120}
+#: calls per timed block; each block takes roughly 50-100 ms, except one
+#: fresh interpreter's imports, which take several times that
+CALLS = {"calibration": 40, "b1": 40, "b16": 5, "engine_cold_b1": 120,
+         "serve_import": 1}
 #: timed figure -> its gate metric (``<name>_calibrated``)
 GATED = {"b1": "predict_b1", "b16": "predict_b16",
-         "engine_cold_b1": "engine_cold_b1"}
+         "engine_cold_b1": "engine_cold_b1", "serve_import": "serve_import"}
+#: what the daemon parent imports before it forks (``repro.serve.__main__``
+#: imports the CLI, whose ``daemon`` command imports the daemon)
+SERVE_IMPORTS = "import repro.serve.cli, repro.serve.daemon"
+#: the child imports ``repro`` from where this process does
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+    os.path.dirname(os.path.dirname(repro.__file__)),
+    os.environ.get("PYTHONPATH")])))
 
 
 def calibration_kernel() -> float:
@@ -81,12 +99,37 @@ def calibration_kernel() -> float:
     return total
 
 
-def _cpu_s(fn, calls: int) -> float:
-    """Process CPU seconds per call of ``fn`` over ``calls`` calls."""
-    started = time.process_time()
+def _children_cpu_s() -> float:
+    """User + system CPU seconds of every child process waited for so far."""
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
+def serve_import() -> None:
+    """Import what the daemon parent imports, in a fresh interpreter."""
+    subprocess.run([sys.executable, "-c", SERVE_IMPORTS], env=CHILD_ENV,
+                   check=True)
+
+
+def _serve_imports_load_scipy() -> bool:
+    """Whether the daemon parent's imports load ``scipy``."""
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         SERVE_IMPORTS + "; import sys; print('scipy' in sys.modules)"],
+        env=CHILD_ENV, check=True, capture_output=True, text=True)
+    return probe.stdout.strip() == "True"
+
+
+#: the CPU clock of each figure: its own process, or the children it waits for
+CLOCKS = {"serve_import": _children_cpu_s}
+
+
+def _cpu_s(fn, calls: int, clock=time.process_time) -> float:
+    """CPU seconds per call of ``fn`` over ``calls`` calls, on ``clock``."""
+    started = clock()
     for _ in range(calls):
         fn()
-    return (time.process_time() - started) / calls
+    return (clock() - started) / calls
 
 
 def _model_and_queries(num_kernels: int, epochs: int):
@@ -136,9 +179,10 @@ def run(quick: bool = False) -> dict:
     deterministic = first.tobytes() == second.tobytes()
 
     timed = {"calibration": calibration_kernel, "b1": predict_b1,
-             "b16": predict_b16, "engine_cold_b1": engine_cold_b1}
+             "b16": predict_b16, "engine_cold_b1": engine_cold_b1,
+             "serve_import": serve_import}
     for name, fn in timed.items():       # warm-up: caches and lazy set-up
-        _cpu_s(fn, CALLS[name])
+        _cpu_s(fn, CALLS[name], CLOCKS.get(name, time.process_time))
     samples = {name: [] for name in timed}
     ratios = {name: [] for name in GATED}
     for _ in range(ROUNDS):
@@ -146,7 +190,8 @@ def run(quick: bool = False) -> dict:
             # each figure is divided by the calibration block right
             # before it, so both see the same state of a shared host
             calibration = _cpu_s(calibration_kernel, CALLS["calibration"])
-            figure = _cpu_s(timed[name], CALLS[name])
+            figure = _cpu_s(timed[name], CALLS[name],
+                            CLOCKS.get(name, time.process_time))
             samples["calibration"].append(calibration)
             samples[name].append(figure)
             ratios[name].append(calibration / figure)
@@ -158,6 +203,7 @@ def run(quick: bool = False) -> dict:
         "queries": len(graphs),
         "graph_nodes_mean": float(np.mean([g.num_nodes for g in graphs])),
         "deterministic": deterministic,
+        "serve_import_loads_scipy": _serve_imports_load_scipy(),
         "cpu_ms_per_call": {name: 1e3 * statistics.median(values)
                             for name, values in samples.items()},
         "cpu_ms_per_call_quartiles": {
@@ -185,6 +231,8 @@ def _check(result: dict) -> None:
         "engine_cold_b1 requests must miss the feature and result caches"
     assert engine["code_cache_misses"] == result["queries"], \
         "each unseen kernel's codes must be encoded exactly once"
+    assert not result["serve_import_loads_scipy"], \
+        "the daemon parent must not import scipy"
 
 
 def test_cost(once, capsys):

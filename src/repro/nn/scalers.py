@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from scipy.special import erfinv
-
 from repro.nn.backend import xp
 
 
@@ -90,6 +88,23 @@ class MinMaxScaler:
             self.range_ = xp.asarray(state["range"], dtype=xp.float64)
 
 
+def _normal_quantiles(n: int, epsilon: float) -> xp.ndarray:
+    """``[n + 1]`` standard-normal quantiles of the ranks ``0..n``.
+
+    A value's rank among ``n`` sorted reference values is an integer in
+    ``[0, n]``, so these ``n + 1`` numbers are every value a Gauss-rank
+    transform can produce.  ``erfinv`` is element-wise, so looking a rank
+    up here is bit-identical to evaluating it on that rank.  Only fitting
+    (or restoring a state saved without the table) evaluates it, which
+    keeps ``scipy`` out of processes that only transform.
+    """
+    from scipy.special import erfinv
+
+    ranks = xp.arange(n + 1, dtype=xp.float64)
+    frac = xp.clip(ranks / max(n - 1, 1), epsilon, 1.0 - epsilon)
+    return xp.sqrt(2.0) * erfinv(2.0 * frac - 1.0)
+
+
 class GaussRankScaler:
     """Gaussian rank scaling (Jahrer's Porto-Seguro winning trick).
 
@@ -103,24 +118,33 @@ class GaussRankScaler:
     Offsetting those integers by column turns the per-column lookups into
     one ``searchsorted`` over a single sorted key array.  The ranks are
     exact integers, so the output is bit-identical to ranking column by
-    column with ``searchsorted(side="left")``.
+    column with ``searchsorted(side="left")``.  A rank is then looked up in
+    the table of the ``n + 1`` possible outputs, computed once at fit time
+    and saved in the state next to the reference values.
     """
 
     def __init__(self, epsilon: float = 1e-3):
         self.epsilon = float(epsilon)
         #: [n_features, n] sorted training values, one row per feature
         self.sorted_: Optional[xp.ndarray] = None
+        #: [n + 1] normal quantile of each possible rank
+        self.table_: Optional[xp.ndarray] = None
 
     def fit(self, x: xp.ndarray) -> "GaussRankScaler":
         x = xp.asarray(x, dtype=xp.float64)
         if x.ndim != 2:
             raise ValueError("GaussRankScaler expects a 2-D matrix")
-        self._set_reference(xp.sort(x.T, axis=1))
+        ref = xp.sort(x.T, axis=1)
+        self._set_reference(ref, _normal_quantiles(ref.shape[1], self.epsilon))
         return self
 
-    def _set_reference(self, ref: xp.ndarray) -> None:
+    def _set_reference(self, ref: xp.ndarray, table: xp.ndarray) -> None:
         features, n = ref.shape
+        if table.shape != (n + 1,):
+            raise ValueError(f"GaussRankScaler table has shape {table.shape}, "
+                             f"expected ({n + 1},)")
         self.sorted_ = ref
+        self.table_ = table
         #: every reference value, sorted: the global rank scale
         self._values = xp.sort(ref, axis=None)
         #: column j's global ranks live in [j * stride, (j + 1) * stride)
@@ -138,12 +162,9 @@ class GaussRankScaler:
         if x.ndim != 2 or x.shape[1] != self.sorted_.shape[0]:
             raise ValueError(f"expected a [n, {self.sorted_.shape[0]}] matrix")
         codes = xp.searchsorted(self._values, x, side="left") + self._offsets
-        # rank of each value among its column's training values, in (0, 1)
-        ranks = (xp.searchsorted(self._keys, codes, side="left")
-                 - self._starts).astype(xp.float64)
-        n = self.sorted_.shape[1]
-        frac = xp.clip(ranks / max(n - 1, 1), self.epsilon, 1.0 - self.epsilon)
-        return xp.sqrt(2.0) * erfinv(2.0 * frac - 1.0)
+        # rank of each value among its column's training values, in [0, n]
+        ranks = xp.searchsorted(self._keys, codes, side="left") - self._starts
+        return self.table_[ranks]
 
     def fit_transform(self, x: xp.ndarray) -> xp.ndarray:
         return self.fit(x).transform(x)
@@ -151,9 +172,13 @@ class GaussRankScaler:
     def get_state(self) -> Dict[str, xp.ndarray]:
         if self.sorted_ is None:
             return {}
-        return {"sorted": self.sorted_.copy()}
+        return {"sorted": self.sorted_.copy(), "table": self.table_.copy()}
 
     def set_state(self, state: Dict[str, xp.ndarray]) -> None:
         if "sorted" in state:
-            self._set_reference(
-                xp.array(state["sorted"], dtype=xp.float64, copy=True))
+            ref = xp.array(state["sorted"], dtype=xp.float64, copy=True)
+            # states saved before the table was persisted carry none
+            table = (xp.array(state["table"], dtype=xp.float64, copy=True)
+                     if "table" in state
+                     else _normal_quantiles(ref.shape[1], self.epsilon))
+            self._set_reference(ref, table)

@@ -42,64 +42,58 @@ The serving subsystem takes a trained tuner from "in-memory object" to
 * ``python -m repro.serve`` — a small CLI to publish, query and serve
   models (``daemon`` / ``router`` / ``request`` / ``loadgen`` talk the
   socket protocol).
+
+The names in ``__all__`` load lazily: ``from repro.serve import
+InferenceEngine`` imports :mod:`repro.serve.engine` and nothing else, and
+``import repro.serve`` alone imports no submodule.  A process pays only for
+the subsystems it uses, which keeps the daemon's start-up short.
 """
 
-from repro.serve.artifacts import (
-    ArtifactError,
-    load_artifact,
-    payload_for,
-    read_manifest,
-    restore_payload,
-    save_artifact,
-)
-from repro.serve.client import DaemonClient, DaemonError
-from repro.serve.daemon import ServeDaemon
-from repro.serve.drift import DriftBaseline, DriftMonitor, baseline_for
-from repro.serve.faults import FaultPlan
-from repro.serve.engine import InferenceEngine, PendingResult
-from repro.serve.lifecycle import LifecycleManager, ShadowPolicy, SwapError
-from repro.serve.loadgen import open_loop
-from repro.serve.registry import ModelRegistry, ModelVersion
-from repro.serve.router import HashRing, ServeRouter
-from repro.serve.service import (
-    CampaignRequest,
-    CampaignResponse,
-    MapRequest,
-    MapResponse,
-    TuneRequest,
-    TuneResponse,
-    TuningService,
-)
+import importlib
 
-__all__ = [
-    "ArtifactError",
-    "save_artifact",
-    "load_artifact",
-    "payload_for",
-    "restore_payload",
-    "read_manifest",
-    "ModelRegistry",
-    "ModelVersion",
-    "InferenceEngine",
-    "PendingResult",
-    "ServeDaemon",
-    "ServeRouter",
-    "HashRing",
-    "LifecycleManager",
-    "ShadowPolicy",
-    "SwapError",
-    "DriftBaseline",
-    "DriftMonitor",
-    "baseline_for",
-    "open_loop",
-    "DaemonClient",
-    "DaemonError",
-    "FaultPlan",
-    "TuningService",
-    "TuneRequest",
-    "TuneResponse",
-    "MapRequest",
-    "MapResponse",
-    "CampaignRequest",
-    "CampaignResponse",
-]
+#: public name -> the submodule that defines it, imported on first access
+#: (PEP 562), so a process loads only the subsystems it uses: the daemon
+#: parent never imports the engine, the router or the search tuners
+_EXPORTS = {
+    "ArtifactError": "artifacts",
+    "save_artifact": "artifacts",
+    "load_artifact": "artifacts",
+    "payload_for": "artifacts",
+    "restore_payload": "artifacts",
+    "read_manifest": "artifacts",
+    "ModelRegistry": "registry",
+    "ModelVersion": "registry",
+    "InferenceEngine": "engine",
+    "PendingResult": "engine",
+    "ServeDaemon": "daemon",
+    "ServeRouter": "router",
+    "HashRing": "router",
+    "LifecycleManager": "lifecycle",
+    "ShadowPolicy": "lifecycle",
+    "SwapError": "lifecycle",
+    "DriftBaseline": "drift",
+    "DriftMonitor": "drift",
+    "baseline_for": "drift",
+    "open_loop": "loadgen",
+    "DaemonClient": "client",
+    "DaemonError": "client",
+    "FaultPlan": "faults",
+    "TuningService": "service",
+    "TuneRequest": "service",
+    "TuneResponse": "service",
+    "MapRequest": "service",
+    "MapResponse": "service",
+    "CampaignRequest": "service",
+    "CampaignResponse": "service",
+}
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value          # later lookups skip this hook
+    return value
+

@@ -59,6 +59,7 @@ import selectors
 import socket
 import threading
 import time
+import weakref
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.serve import faults
@@ -118,7 +119,8 @@ def _failure(code: str, exc: BaseException) -> Dict[str, Any]:
                                    "message": f"{type(exc).__name__}: {exc}"}}
 
 
-def _execute_tune_map(service, requests: List[Dict[str, Any]]
+def _execute_tune_map(service, requests: List[Dict[str, Any]],
+                      drift_sent: "weakref.WeakKeyDictionary"
                       ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
     """Answer a batch of tune/map requests on this thread.
 
@@ -128,7 +130,11 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]]
     or wait window behind it.  A request that cannot be resolved or
     prepared fails alone (``bad_request``); a failing ``predict`` fails its
     group (``internal``).  Returns the results plus cumulative per-engine
-    drift summaries (keyed ``model@version``) for the daemon's aggregator.
+    drift summaries (keyed ``model@version``) for the daemon's aggregator:
+    only those whose monitor scored a request since this worker last sent
+    one, as ``drift_sent`` (engine -> count sent) records.  The aggregator
+    keeps each worker's latest summary, so a batch of memo hits, which
+    scores nothing, has nothing to send.
     """
     from repro.kernels import registry as kernel_registry
     from repro.serve.service import (
@@ -181,9 +187,11 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]]
                                                          int(answer))}
     drift: Dict[str, Any] = {}
     for label, (engine, _) in groups.items():
-        summary = engine.drift_summary()
-        if summary is not None:
-            drift[label] = summary
+        monitor = engine.drift_monitor
+        if monitor is None or drift_sent.get(engine) == monitor.count:
+            continue
+        drift[label] = monitor.summary()
+        drift_sent[engine] = drift[label]["count"]
     return results, ({"drift": drift} if drift else {})
 
 
@@ -267,6 +275,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                      name="repro-worker-orphan-watch", daemon=True).start()
     registry = ModelRegistry(registry_root) if registry_root else None
     service = TuningService(registry, **engine_opts)
+    drift_sent: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
     try:
         for entry in preload:
             name, _, version = entry.partition("@")
@@ -318,7 +327,7 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
                     results.append(_failure(ERR_BAD_REQUEST, exc))
         if tune_map:
             answers, extras = _execute_tune_map(
-                service, [request for _, request in tune_map])
+                service, [request for _, request in tune_map], drift_sent)
             for (position, _), answer in zip(tune_map, answers):
                 results[position] = answer
         injector = faults.active()

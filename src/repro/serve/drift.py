@@ -202,8 +202,9 @@ def baseline_for(obj, dataset,
 class DriftMonitor:
     """Streaming drift scorer over one engine's served requests.
 
-    Cheap per request (one comparison pass over ~40 features plus an argmax
-    over the graph's one-hot token block) and cumulative: :meth:`summary`
+    Cheap per request (one comparison pass over ~40 features, an argmax
+    over the graph's one-hot token block and one lookup of those token ids
+    in a mask of the training vocabulary) and cumulative: :meth:`summary`
     returns monotone counters the daemon can delta-accumulate per route even
     across worker restarts.
     """
@@ -218,6 +219,13 @@ class DriftMonitor:
                             + np.abs(baseline.hi) + span)
         self._edges = baseline.quantiles[1:-1]        # [bands - 1, dim]
         self._bands = np.zeros((self._edges.shape[0] + 1, dim), dtype=np.int64)
+        #: ``_seen[t]``: token id ``t`` occurs in the training graphs (ids
+        #: outside the vocabulary can never be observed, so they are dropped)
+        self._seen = np.zeros(baseline.vocab_size, dtype=bool)
+        trained = np.fromiter(baseline.token_ids, dtype=np.int64,
+                              count=len(baseline.token_ids))
+        self._seen[trained[(trained >= 0)
+                           & (trained < baseline.vocab_size)]] = True
         self._lock = threading.Lock()
         self._count = 0
         self._flagged = 0
@@ -239,7 +247,7 @@ class DriftMonitor:
         if graph is not None:
             ids = token_ids_from_graph(graph, baseline.vocab_size)
             if ids.size:
-                unseen = sum(1 for t in ids if int(t) not in baseline.token_ids)
+                unseen = ids.size - int(np.count_nonzero(self._seen[ids]))
                 unseen_frac = unseen / float(ids.size)
         score = max(oob_frac, unseen_frac)
         flagged = score >= baseline.threshold
@@ -254,6 +262,11 @@ class DriftMonitor:
             self._last_score = score
         return {"score": score, "oob": oob_frac,
                 "unseen_tokens": unseen_frac, "flagged": flagged}
+
+    @property
+    def count(self) -> int:
+        """Requests scored so far; every other counter moves only with it."""
+        return self._count
 
     # ------------------------------------------------------------------
     def band_tvd(self) -> float:

@@ -468,12 +468,6 @@ class InferenceEngine:
                           if self.drift_monitor is not None else None),
             }
 
-    def drift_summary(self) -> Optional[Dict[str, float]]:
-        """Cumulative drift counters (None without a published baseline)."""
-        if self.drift_monitor is None:
-            return None
-        return self.drift_monitor.summary()
-
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Stop the worker; outstanding queued requests fail."""

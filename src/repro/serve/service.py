@@ -20,8 +20,6 @@ from repro.kernels import registry as kernel_registry
 from repro.serve.engine import InferenceEngine
 from repro.serve.registry import ModelRegistry
 from repro.simulator.microarch import get_microarch
-from repro.tuners.campaign import SimObjectiveSpec, TuningCampaign, make_tuner
-from repro.tuners.space import full_search_space, thread_search_space
 
 
 @dataclasses.dataclass(frozen=True)
@@ -317,6 +315,15 @@ class TuningService:
 
     def run_campaign(self, request: CampaignRequest) -> CampaignResponse:
         """Run (or resume) a parallel search campaign on the simulator."""
+        # the search stack loads with the first campaign: serving processes
+        # never pay for it
+        from repro.tuners.campaign import (
+            SimObjectiveSpec,
+            TuningCampaign,
+            make_tuner,
+        )
+        from repro.tuners.space import full_search_space, thread_search_space
+
         started = time.perf_counter()
         label = f"campaign:{request.tuner}"
         try:

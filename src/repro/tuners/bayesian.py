@@ -15,7 +15,6 @@ import math
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from repro.frontend.openmp import OMPConfig
 from repro.ml import RandomForestRegressor
@@ -42,6 +41,8 @@ class GaussianProcess:
         return self.signal_var * np.exp(-0.5 * d2 / self.length_scale ** 2)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
+        from scipy.linalg import cho_factor, cho_solve
+
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         self._y_mean = float(y.mean())
@@ -54,6 +55,8 @@ class GaussianProcess:
         return self
 
     def predict(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        from scipy.linalg import cho_solve
+
         if self._x is None:
             raise RuntimeError("GP is not fitted")
         x = np.asarray(x, dtype=np.float64)

@@ -5,10 +5,13 @@ import tempfile
 import threading
 import time
 import types
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import MGATuner
 from repro.kernels import registry as kernel_registry
@@ -19,13 +22,17 @@ from repro.serve import (
     ModelRegistry,
     ServeDaemon,
     ServeRouter,
+    TuningService,
 )
+from repro.serve.daemon import _execute_tune_map
 from repro.serve.drift import (
+    FRACTIONS,
     DriftBaseline,
     DriftMonitor,
     baseline_from_devmap,
     baseline_from_openmp,
     merge_route_drift,
+    token_ids_from_graph,
     tune_feature_vector,
 )
 from repro.simulator.microarch import COMET_LAKE_8C
@@ -202,6 +209,32 @@ class TestDriftDetection:
         assert signals["score"] == 1.0
         assert signals["flagged"]
 
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_unseen_tokens_match_the_per_node_loop(self, data):
+        """The vocabulary mask counts exactly what a set lookup per node
+        counted, out-of-vocabulary baseline ids and empty rows included."""
+        vocab = data.draw(st.integers(1, 12))
+        trained = data.draw(st.frozensets(st.integers(-3, vocab + 3)))
+        baseline = DriftBaseline(
+            task="tune", quantiles=np.zeros((len(FRACTIONS), 2)),
+            token_ids=trained, vocab_size=vocab, counter_names=(),
+            n_samples=1)
+        # -1: a node with no token bit set (argmax reads it as token 0)
+        tokens = data.draw(st.lists(st.integers(-1, vocab - 1), max_size=40))
+        features = np.zeros((len(tokens), vocab + 3))
+        for node, token in enumerate(tokens):
+            if token >= 0:
+                features[node, token] = 1.0
+        graph = types.SimpleNamespace(node_features=features)
+        ids = token_ids_from_graph(graph, vocab)
+        expected = 0.0
+        if ids.size:
+            unseen = sum(1 for t in ids if int(t) not in trained)
+            expected = unseen / float(ids.size)
+        signals = DriftMonitor(baseline).observe(np.zeros(2), graph=graph)
+        assert signals["unseen_tokens"].hex() == expected.hex()
+
     def test_payload_round_trip(self, small_openmp_dataset):
         baseline = baseline_from_openmp(small_openmp_dataset)
         config, arrays = baseline.to_payload()
@@ -236,6 +269,71 @@ class TestDriftDetection:
         assert merged["flagged_rate"] == pytest.approx(0.15)
         assert merged["mean_score"] == pytest.approx(0.075)
         assert merged["drifting"]
+
+
+class TestDriftReporting:
+    """A worker sends an engine's drift summary only when it moved."""
+
+    #: (kernel, scale) requests in order: cold ones and memo hits; the
+    #: extreme scales put counters outside the training envelope
+    SCRIPT = [("polybench/gemm", 1.0), ("polybench/atax", 0.01),
+              ("polybench/gemm", 1.0), ("polybench/atax", 0.01),
+              ("rodinia/kmeans", 300.0), ("polybench/gemm", 1.0),
+              ("rodinia/kmeans", 300.0), ("polybench/atax", 2.0),
+              ("polybench/gemm", 0.5)]
+
+    @staticmethod
+    def _requests(pairs, version):
+        return [{"op": "tune", "model": "m", "version": version,
+                 "kernel": uid, "scale": scale} for uid, scale in pairs]
+
+    def test_memo_hits_carry_no_drift_extras(self, tmp_path, tuner_pair,
+                                             small_openmp_dataset):
+        registry = _two_version_registry(tmp_path, tuner_pair,
+                                         small_openmp_dataset)
+        sent = weakref.WeakKeyDictionary()
+        with TuningService(registry) as service:
+            def run(requests):
+                results, extras = _execute_tune_map(service, requests, sent)
+                assert all(result["ok"] for result in results)
+                return extras
+
+            pairs = REQUEST_GRID[:3]
+            extras = run(self._requests(pairs, 1))
+            assert extras["drift"]["m@1"]["count"] == 3
+            assert run(self._requests(pairs, 1)) == {}      # all memo hits
+            assert run(self._requests(pairs[::-1], 1)) == {}
+            extras = run(self._requests(REQUEST_GRID[:4], 1))
+            assert extras["drift"]["m@1"]["count"] == 4
+            # one batch, two engines: only the one that scored sends
+            extras = run(self._requests(pairs, 1) + self._requests(pairs, 2))
+            assert set(extras["drift"]) == {"m@2"}
+            assert extras["drift"]["m@2"]["count"] == 3
+
+    def test_daemon_drift_stats_match_the_engine(self, tmp_path, tuner_pair,
+                                                 small_openmp_dataset):
+        """Route drift totals equal an in-process engine's over the same
+        script, exactly: skipping unchanged summaries loses nothing."""
+        registry = _two_version_registry(tmp_path, tuner_pair,
+                                         small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4, watch_interval_s=0):
+            with DaemonClient(path) as client:
+                # one at a time: the monitor sums scores in arrival order
+                for uid, scale in self.SCRIPT:
+                    _tune(client, uid, scale, version=1)
+                drift = client.stats()["drift"]["routes"]
+
+        with TuningService(registry) as service:
+            engine, _ = service.engine("m", 1)
+            for uid, scale in self.SCRIPT:
+                engine.predict_batch([(kernel_registry.get_kernel(uid),
+                                       scale)])
+            expected = merge_route_drift([engine.drift_monitor.summary()])
+        assert expected["count"] == 5
+        assert expected["flagged"] > 0
+        assert drift == {"m@1": expected}
 
 
 # ----------------------------------------------------------------------

@@ -212,10 +212,22 @@ class TestGaussRankVectorised:
         clone.set_state(scaler.get_state())
         assert clone.transform(x).tobytes() == expected.tobytes()
 
+        # a state saved before the quantile table was persisted
+        legacy = GaussRankScaler()
+        legacy.set_state({"sorted": scaler.get_state()["sorted"]})
+        assert legacy.table_.tobytes() == scaler.table_.tobytes()
+        assert legacy.transform(x).tobytes() == expected.tobytes()
+
     def test_rejects_a_matrix_of_the_wrong_width(self):
         scaler = GaussRankScaler().fit(np.ones((4, 3)))
         with pytest.raises(ValueError):
             scaler.transform(np.ones((2, 2)))
+
+    def test_rejects_a_table_of_the_wrong_length(self):
+        state = GaussRankScaler().fit(np.ones((4, 3))).get_state()
+        assert state["table"].shape == (5,)
+        with pytest.raises(ValueError):
+            GaussRankScaler().set_state({**state, "table": state["table"][:4]})
 
 
 class TestTrainingUtilities:

@@ -50,6 +50,12 @@ class TestScalerState:
         unseen = rng.normal(size=(7, 3))
         np.testing.assert_array_equal(scaler.transform(unseen),
                                       clone.transform(unseen))
+        # states saved before the quantile table was persisted still load
+        assert set(scaler.get_state()) == {"sorted", "table"}
+        legacy = GaussRankScaler()
+        legacy.set_state({"sorted": scaler.get_state()["sorted"]})
+        assert legacy.transform(unseen).tobytes() \
+            == scaler.transform(unseen).tobytes()
 
     def test_unfitted_state_is_empty(self):
         assert MinMaxScaler().get_state() == {}
@@ -107,6 +113,37 @@ class TestMGAModelRoundTrip:
         reference = model.predict_proba(graphs, vectors, extra)
         restored = clone.predict_proba(graphs, vectors, extra)
         np.testing.assert_array_equal(reference, restored)
+
+    def test_tuner_artifact_without_gaussrank_table(self, tmp_path,
+                                                    small_openmp_dataset,
+                                                    extractor):
+        """An artifact published before the table was persisted predicts
+        byte-identically to one that carries it."""
+        from repro.core import MGATuner
+        from repro.serve.artifacts import (load_artifact, payload_for,
+                                           write_artifact_dir)
+        from repro.simulator.microarch import COMET_LAKE_8C
+
+        ds = small_openmp_dataset
+        tuner = MGATuner(COMET_LAKE_8C, ds.configs, extractor=extractor,
+                         seed=0, gnn_hidden=8, gnn_out=8, dae_hidden=16,
+                         dae_code=6, mlp_hidden=12)
+        tuner.fit(ds, epochs=2, dae_epochs=2)
+        kind, config, arrays = payload_for(tuner)
+        legacy = {key: value for key, value in arrays.items()
+                  if not key.endswith("scaler.table")}
+        assert set(arrays) - set(legacy) == {"model.dae.scaler.table"}
+        write_artifact_dir(tmp_path / "new", kind, config, arrays)
+        write_artifact_dir(tmp_path / "legacy", kind, config, legacy)
+
+        graphs = [s.graph for s in ds.samples]
+        vectors = np.stack([s.vector for s in ds.samples])
+        extra = ds.counter_matrix()
+        reference = tuner.model.predict_logits(graphs, vectors, extra)
+        for name in ("new", "legacy"):
+            loaded = load_artifact(tmp_path / name)
+            logits = loaded.model.predict_logits(graphs, vectors, extra)
+            assert logits.tobytes() == reference.tobytes(), name
 
     def test_unfitted_clone_refuses_predict(self, small_openmp_dataset):
         ds = small_openmp_dataset

@@ -458,6 +458,50 @@ class TestDaemonCLI:
                 daemon.kill()
                 daemon.wait()
 
+    def test_serving_processes_never_import_scipy(self, registry_root):
+        """What a daemon parent and its workers run stays free of scipy
+        and of the search stack, from import to cold and memoized tunes."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        queries = [("polybench/gemm", 0.5), ("rodinia/kmeans", 2.0),
+                   ("polybench/gemm", 3.0)]
+        script = f"""
+import json, sys
+import repro.serve.cli, repro.serve.daemon
+from repro.kernels import registry as kernels
+from repro.serve.engine import InferenceEngine
+from repro.serve.registry import ModelRegistry
+
+engine = InferenceEngine(ModelRegistry({registry_root!r}).load("openmp"))
+queries = [(kernels.get_kernel(uid), scale) for uid, scale in {queries!r}]
+cold = engine.predict_batch(queries)
+memo = engine.predict_batch(queries)
+stats = engine.stats()
+print(json.dumps({{
+    "cold": [config.label() for config, _ in cold],
+    "memo": [config.label() for config, _ in memo],
+    "memoized": stats["memoized_responses"],
+    "loaded": sorted(name for name in sys.modules
+                     if name.split(".")[0] == "scipy"
+                     or name.startswith("repro.tuners")),
+}}))
+"""
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report["loaded"] == []
+        with InferenceEngine(ModelRegistry(registry_root).load("openmp")) \
+                as engine:
+            expected = [engine.tune(kernel_registry.get_kernel(uid),
+                                    scale)[0].label()
+                        for uid, scale in queries]
+        assert report["cold"] == report["memo"] == expected
+        assert report["memoized"] == len(queries)
+
     def test_sigkilled_daemon_does_not_orphan_its_workers(self):
         """Workers notice their daemon is gone and exit on their own."""
         src = os.path.abspath(os.path.join(os.path.dirname(__file__),
