@@ -1,4 +1,5 @@
-"""Cost gate: CPU per ``predict``, cold request and daemon import, calibrated.
+"""Cost gate: CPU per ``predict``, cold request, daemon import and memoized
+daemon request, calibrated.
 
 Every other CI perf gate is a ratio between two configurations of the same
 code (speedup vs seed, tape vs eager, 4 workers vs 1), so a uniformly
@@ -22,7 +23,15 @@ predict costs:
   user and system (``RUSAGE_CHILDREN``), of a fresh interpreter that
   imports what ``python -m repro.serve daemon`` imports before it forks its
   workers.  Its workers inherit those modules, so this is most of what a
-  daemon pays between launch and ready.
+  daemon pays between launch and ready;
+* ``daemon_memo`` is one memoized ``tune`` through a 2-worker ``python -m
+  repro.serve daemon`` over the trained model, sent back to back on one
+  unix-socket connection: user plus system CPU time summed over the daemon
+  and its workers, read from ``/proc/<pid>/stat``.  The daemon answers a
+  repeat from its loop's memo, so this is the daemon's share of the hot
+  path: socket reads, request parsing, the memo lookup and the reply.
+  ``/proc`` counts in clock ticks (10 ms), so each block sends enough
+  requests to span 20 or more.
 
 Each figure is reported raw (CPU ms per call) and, under ``gate_metrics``,
 as calibration time divided by the figure: each block of predicts is paired
@@ -46,6 +55,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 if __name__ == "__main__":
@@ -61,7 +71,7 @@ import repro
 from repro.core import MGATuner
 from repro.datasets import OpenMPDatasetBuilder
 from repro.kernels import registry
-from repro.serve import InferenceEngine
+from repro.serve import DaemonClient, InferenceEngine, ModelRegistry
 from repro.simulator.microarch import COMET_LAKE_8C
 from repro.tuners import thread_search_space
 
@@ -71,12 +81,14 @@ ARCH = COMET_LAKE_8C
 BATCH = 16
 ROUNDS = 15
 #: calls per timed block; each block takes roughly 50-100 ms, except one
-#: fresh interpreter's imports, which take several times that
+#: fresh interpreter's imports, which take several times that, and the
+#: daemon requests, which span 20 or more ``/proc`` clock ticks
 CALLS = {"calibration": 40, "b1": 40, "b16": 5, "engine_cold_b1": 120,
-         "serve_import": 1}
+         "serve_import": 1, "daemon_memo": 4000}
 #: timed figure -> its gate metric (``<name>_calibrated``)
 GATED = {"b1": "predict_b1", "b16": "predict_b16",
-         "engine_cold_b1": "engine_cold_b1", "serve_import": "serve_import"}
+         "engine_cold_b1": "engine_cold_b1", "serve_import": "serve_import",
+         "daemon_memo": "daemon_memo"}
 #: what the daemon parent imports before it forks (``repro.serve.__main__``
 #: imports the CLI, whose ``daemon`` command imports the daemon)
 SERVE_IMPORTS = "import repro.serve.cli, repro.serve.daemon"
@@ -120,8 +132,69 @@ def _serve_imports_load_scipy() -> bool:
     return probe.stdout.strip() == "True"
 
 
-#: the CPU clock of each figure: its own process, or the children it waits for
-CLOCKS = {"serve_import": _children_cpu_s}
+def _tree_cpu_s(pids) -> float:
+    """User + system CPU seconds used so far by the processes ``pids``."""
+    ticks = 0
+    for pid in pids:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+        ticks += int(fields[11]) + int(fields[12])      # utime, stime
+    return ticks / os.sysconf("SC_CLK_TCK")
+
+
+def _children(pid: int):
+    """The live child processes of ``pid``, over all of its threads."""
+    children = []
+    for task in os.listdir(f"/proc/{pid}/task"):
+        with open(f"/proc/{pid}/task/{task}/children") as handle:
+            children.extend(int(child) for child in handle.read().split())
+    return children
+
+
+class MemoDaemon:
+    """A 2-worker ``python -m repro.serve daemon`` process over ``tuner``,
+    with one client connection and one request it has already answered."""
+
+    def __init__(self, tuner, kernel: str):
+        self._dir = tempfile.TemporaryDirectory(prefix="repro-cost-")
+        root = os.path.join(self._dir.name, "registry")
+        ModelRegistry(root).publish("mga", tuner)
+        path = os.path.join(self._dir.name, "d.sock")
+        # one BLAS thread, as in the daemon perfbench starts
+        env = dict(CHILD_ENV, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1")
+        self.process = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve", "daemon", "--socket", path,
+             "--root", root, "--workers", "2", "--preload", "mga"],
+            stdout=subprocess.PIPE, text=True, env=env)
+        try:
+            ready = self.process.stdout.readline()
+            if not ready:
+                raise RuntimeError("the daemon exited before it was ready")
+            self.pids = [self.process.pid, *_children(self.process.pid)]
+            self.client = DaemonClient(path)
+            self.request = {"op": "tune", "model": "mga", "kernel": kernel,
+                            "scale": 1.0}
+            self.first = self.client.request(self.request)
+            self.repeat = self.client.request(self.request)
+        except BaseException:
+            self.close()
+            raise
+
+    def __call__(self) -> None:
+        self.client.request(self.request)
+
+    def cpu_s(self) -> float:
+        return _tree_cpu_s(self.pids)
+
+    def close(self) -> None:
+        client = getattr(self, "client", None)
+        if client is not None:
+            client.close()
+        self.process.terminate()
+        self.process.wait(timeout=60)
+        self.process.stdout.close()
+        self._dir.cleanup()
 
 
 def _cpu_s(fn, calls: int, clock=time.process_time) -> float:
@@ -180,21 +253,30 @@ def run(quick: bool = False) -> dict:
 
     timed = {"calibration": calibration_kernel, "b1": predict_b1,
              "b16": predict_b16, "engine_cold_b1": engine_cold_b1,
-             "serve_import": serve_import}
-    for name, fn in timed.items():       # warm-up: caches and lazy set-up
-        _cpu_s(fn, CALLS[name], CLOCKS.get(name, time.process_time))
+             "serve_import": serve_import,
+             "daemon_memo": MemoDaemon(tuner, unseen[0].uid)}
+    daemon = timed["daemon_memo"]
+    #: the CPU clock of each figure: this process, the children it waits
+    #: for, or the daemon's process tree
+    clocks = {"serve_import": _children_cpu_s, "daemon_memo": daemon.cpu_s}
     samples = {name: [] for name in timed}
     ratios = {name: [] for name in GATED}
-    for _ in range(ROUNDS):
-        for name in ratios:
-            # each figure is divided by the calibration block right
-            # before it, so both see the same state of a shared host
-            calibration = _cpu_s(calibration_kernel, CALLS["calibration"])
-            figure = _cpu_s(timed[name], CALLS[name],
-                            CLOCKS.get(name, time.process_time))
-            samples["calibration"].append(calibration)
-            samples[name].append(figure)
-            ratios[name].append(calibration / figure)
+    try:
+        for name, fn in timed.items():   # warm-up: caches and lazy set-up
+            _cpu_s(fn, CALLS[name], clocks.get(name, time.process_time))
+        for _ in range(ROUNDS):
+            for name in ratios:
+                # each figure is divided by the calibration block right
+                # before it, so both see the same state of a shared host
+                calibration = _cpu_s(calibration_kernel,
+                                     CALLS["calibration"])
+                figure = _cpu_s(timed[name], CALLS[name],
+                                clocks.get(name, time.process_time))
+                samples["calibration"].append(calibration)
+                samples[name].append(figure)
+                ratios[name].append(calibration / figure)
+    finally:
+        daemon.close()
 
     result = {
         "quick": quick,
@@ -204,6 +286,9 @@ def run(quick: bool = False) -> dict:
         "graph_nodes_mean": float(np.mean([g.num_nodes for g in graphs])),
         "deterministic": deterministic,
         "serve_import_loads_scipy": _serve_imports_load_scipy(),
+        # the first request went to a worker, its repeats stayed in the loop
+        "daemon_memo_workers": [daemon.first["worker"],
+                                daemon.repeat["worker"]],
         "cpu_ms_per_call": {name: 1e3 * statistics.median(values)
                             for name, values in samples.items()},
         "cpu_ms_per_call_quartiles": {
@@ -233,6 +318,9 @@ def _check(result: dict) -> None:
         "each unseen kernel's codes must be encoded exactly once"
     assert not result["serve_import_loads_scipy"], \
         "the daemon parent must not import scipy"
+    first, repeat = result["daemon_memo_workers"]
+    assert first is not None and repeat is None, \
+        "daemon_memo repeats must be answered by the daemon loop"
 
 
 def test_cost(once, capsys):

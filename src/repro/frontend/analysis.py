@@ -205,10 +205,11 @@ def _innermost_var(loop: For) -> LoopVar:
     return loop.var
 
 
-def _serial_fraction(spec: KernelSpec, sizes: Dict[str, int]) -> float:
-    """Fraction of total work that is outside the parallel loop."""
+def _serial_fraction(spec: KernelSpec, sizes: Dict[str, int],
+                     total: _Counts) -> float:
+    """Fraction of ``total`` (the counts of ``spec.body``) that is outside
+    the parallel loop."""
     parallel = spec.parallel_loop
-    total = _count_statements(spec.body, sizes, None)
     if parallel is None:
         return 1.0
     par = _count_statements([parallel], sizes, None)
@@ -254,7 +255,7 @@ def analyze_spec(spec: KernelSpec, scale: float = 1.0) -> WorkloadSummary:
         has_reduction=has_reduction,
         has_atomic=has_atomic,
         imbalance=imbalance,
-        serial_fraction=_serial_fraction(spec, sizes),
+        serial_fraction=_serial_fraction(spec, sizes, counts),
         loop_depth=spec.loop_depth,
         serial_advantage=spec.serial_advantage,
         bytes_per_parallel_iter=mem_bytes / max(1, parallel_trip),

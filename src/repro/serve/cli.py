@@ -36,10 +36,6 @@ import os
 import sys
 from typing import List, Optional
 
-import numpy as np
-
-from repro.serve.artifacts import ArtifactError
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -374,6 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_publish_demo(args) -> int:
+    import numpy as np
+
     from repro.core import DeviceMapper, MGATuner
     from repro.datasets import DevMapDatasetBuilder, OpenMPDatasetBuilder
     from repro.kernels import registry as kernels
@@ -777,10 +775,24 @@ _COMMANDS = {
 }
 
 
+def _reported_errors() -> tuple:
+    """The exception types ``main`` reports as ``{"error": ...}``.
+
+    ``ArtifactError`` joins them only once its module is loaded: a command
+    that never imported it cannot have raised one, and the commands that
+    talk to a daemon never load the model stack.
+    """
+    artifacts = sys.modules.get("repro.serve.artifacts")
+    extra = (artifacts.ArtifactError,) if artifacts is not None else ()
+    return (KeyError, ValueError, TypeError, OSError) + extra
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ArtifactError, KeyError, ValueError, TypeError, OSError) as exc:
+    except Exception as exc:
+        if not isinstance(exc, _reported_errors()):
+            raise
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1

@@ -35,6 +35,18 @@ Determinism: a worker answers ``tune``/``map`` through the same
 daemon predictions are byte-identical to :class:`InferenceEngine` over the
 same published artifact.
 
+Repeats never leave the loop: an answer is a pure function of the request's
+fields and the artifact version, so the loop keeps the worker answers of
+live ``tune``/``map`` requests in an LRU memo bounded by ``cache_size``,
+keyed on ``(fields, version)``.  A latest-route request takes its version
+from the lifecycle at receive time, as a batch of one dispatched at that
+instant would, so a swap still lands between answers.  A hit is answered at
+once, without queueing or a worker: it counts as completed, but not as a
+batch.  Its reply reads ``worker: null`` and a ``batch`` id of its own, so
+grouping answers by ``(worker, batch)`` never merges two of them.  Each
+path keeps one response memo: daemon workers build their engines with
+``memoize_results=False``, while in-process serving keeps the engine's.
+
 Online operations (:mod:`repro.serve.lifecycle`): with a registry the loop
 reads the registry generation every ``watch_interval_s`` (its selector
 timeout); when it moved, a short-lived helper thread hot-swaps routes with
@@ -52,6 +64,7 @@ scores workers send back with every batch.
 from __future__ import annotations
 
 import collections
+import itertools
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -99,6 +112,9 @@ _ROUTE_DEBUG = ("debug",)
 #: ``_Worker.busy_with`` of a worker that has not reported ``ready`` yet
 _LOADING = "loading"
 
+#: drift-summary serials of a worker's engines, in creation order
+_ENGINE_SERIALS = itertools.count()
+
 
 def route_label(route: tuple) -> str:
     """A stable human/JSON-friendly name of a dispatch route tuple."""
@@ -132,9 +148,12 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]],
     group (``internal``).  Returns the results plus cumulative per-engine
     drift summaries (keyed ``model@version``) for the daemon's aggregator:
     only those whose monitor scored a request since this worker last sent
-    one, as ``drift_sent`` (engine -> count sent) records.  The aggregator
-    keeps each worker's latest summary, so a batch of memo hits, which
-    scores nothing, has nothing to send.
+    one, as ``drift_sent`` (engine -> (serial, count sent)) records.  The
+    aggregator keeps each worker's latest summary, so a batch of memo hits,
+    which scores nothing, has nothing to send.  Each summary carries its
+    engine's ``serial``, unique in this process: an engine retired and
+    warmed again counts from 0 under a new serial, which tells the
+    aggregator to keep the old engine's totals.
     """
     from repro.kernels import registry as kernel_registry
     from repro.serve.service import (
@@ -188,10 +207,13 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]],
     drift: Dict[str, Any] = {}
     for label, (engine, _) in groups.items():
         monitor = engine.drift_monitor
-        if monitor is None or drift_sent.get(engine) == monitor.count:
+        serial, count = drift_sent.get(engine, (None, None))
+        if monitor is None or count == monitor.count:
             continue
-        drift[label] = monitor.summary()
-        drift_sent[engine] = drift[label]["count"]
+        if serial is None:
+            serial = next(_ENGINE_SERIALS)
+        drift[label] = dict(monitor.summary(), serial=serial)
+        drift_sent[engine] = (serial, drift[label]["count"])
     return results, ({"drift": drift} if drift else {})
 
 
@@ -274,7 +296,8 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
     threading.Thread(target=_exit_when_orphaned, args=(os.getppid(),),
                      name="repro-worker-orphan-watch", daemon=True).start()
     registry = ModelRegistry(registry_root) if registry_root else None
-    service = TuningService(registry, **engine_opts)
+    # repeats are answered by the loop's memo: one response memo per path
+    service = TuningService(registry, memoize_results=False, **engine_opts)
     drift_sent: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
     try:
         for entry in preload:
@@ -341,11 +364,28 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
 # ----------------------------------------------------------------------
 # daemon-side bookkeeping: requests, workers, connections
 # ----------------------------------------------------------------------
+#: the request fields that pick a ``tune``/``map`` answer, with the version
+_MEMO_FIELDS = ("op", "model", "kernel", "scale", "target_bytes",
+                "transfer_bytes", "wgsize")
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _memo_fields(document: Dict[str, Any]) -> Optional[tuple]:
+    """The version-less memo key of a ``tune``/``map`` request, or ``None``
+    when a field is not a hashable JSON scalar (the worker then answers,
+    and rejects it as usual)."""
+    fields = tuple(document.get(name) for name in _MEMO_FIELDS)
+    if all(type(value) in _JSON_SCALARS for value in fields):
+        return fields
+    return None
+
+
 class _PendingRequest:
     __slots__ = ("request_id", "op", "payload", "reply", "enqueued_at",
-                 "attempts", "route", "stalled")
+                 "attempts", "route", "stalled", "memo_fields")
 
-    def __init__(self, request_id, op, payload, reply, route):
+    def __init__(self, request_id, op, payload, reply, route,
+                 memo_fields=None):
         self.request_id = request_id
         self.op = op
         self.payload = payload
@@ -354,6 +394,8 @@ class _PendingRequest:
         self.attempts = 0
         self.route = route
         self.stalled = False          # counted as shadow contention
+        #: version-less memo key of a live tune/map request, else None
+        self.memo_fields = memo_fields
 
 
 class _Worker:
@@ -470,6 +512,12 @@ class ServeDaemon:
         self._latencies: "collections.deque[float]" = \
             collections.deque(maxlen=4096)
         self._per_model: Dict[str, int] = {}
+        #: answers of live tune/map requests, keyed ``(memo_fields,
+        #: version)``; only touched under ``_lock``
+        self._memo: "collections.OrderedDict[tuple, Dict[str, Any]]" = \
+            collections.OrderedDict()
+        self._memo_capacity = int(cache_size)
+        self._memo_hits = 0
 
     @property
     def socket_path(self) -> str:
@@ -811,8 +859,43 @@ class ServeDaemon:
             self._start_helper(op, lambda: self._handle_admin(
                 request_id, op, document, reply))
             return
-        self._admit(_PendingRequest(request_id, op, document, reply,
-                                    self._route_of(document, op)))
+        fields = (_memo_fields(document) if op in ("tune", "map")
+                  and self._lifecycle is not None else None)
+        request = _PendingRequest(request_id, op, document, reply,
+                                  self._route_of(document, op), fields)
+        if fields is not None and self._answer_from_memo(request):
+            return
+        self._admit(request)
+
+    def _answer_from_memo(self, request: _PendingRequest) -> bool:
+        """Answer a repeat from the loop's memo; False on a miss."""
+        version = request.route[2]
+        if version is None:
+            try:
+                version = self._lifecycle.resolve(request.route[1])
+            except OSError:
+                return False          # a registry hiccup: a worker answers
+            if version is None:
+                return False
+        key = (request.memo_fields, version)
+        with self._lock:
+            answer = self._memo.get(key)
+            if answer is None or self._draining or not self._running:
+                return False
+            self._memo.move_to_end(key)
+            batch_id = self._next_batch_id
+            self._next_batch_id += 1
+            latency_ms = 1e3 * (time.perf_counter() - request.enqueued_at)
+            self._memo_hits += 1
+            self._completed += 1
+            self._latencies.append(latency_ms)
+            model = request.route[1]
+            self._per_model[model] = self._per_model.get(model, 0) + 1
+        result = dict(answer, latency_ms=latency_ms, worker=None,
+                      batch=batch_id)
+        request.reply(ok_response(request.request_id, result))
+        self._maybe_tee_shadow(request, result)
+        return True
 
     def _handle_admin(self, request_id, op: str, document: Dict[str, Any],
                       reply) -> None:
@@ -1005,6 +1088,9 @@ class ServeDaemon:
                         model = request.payload.get("model", request.op)
                         self._per_model[model] = \
                             self._per_model.get(model, 0) + 1
+                        if request.memo_fields is not None:
+                            self._remember_locked(request.memo_fields,
+                                                  outcome["result"])
         for request, outcome in zip(batch, results):
             if not outcome.get("ok"):
                 error = outcome.get("error") or {"code": ERR_INTERNAL,
@@ -1022,6 +1108,13 @@ class ServeDaemon:
             request.reply(ok_response(request.request_id, result))
             if not shadow:
                 self._maybe_tee_shadow(request, result)
+
+    def _remember_locked(self, fields: tuple,
+                         answer: Dict[str, Any]) -> None:
+        """Memoize a live answer under the version that gave it."""
+        self._memo[(fields, answer["version"])] = answer
+        if len(self._memo) > self._memo_capacity:
+            self._memo.popitem(last=False)
 
     def _worker_lost(self, worker: _Worker) -> None:
         """EOF on a worker's pipe: retry or fail its batch, heal the pool."""
@@ -1129,7 +1222,8 @@ class ServeDaemon:
                              "completed": self._completed,
                              "errors": self._errors,
                              "shed": self._shed,
-                             "retried": self._retried},
+                             "retried": self._retried,
+                             "memo_hits": self._memo_hits},
                 "batches": {
                     "count": batches,
                     "histogram": {str(size): count
@@ -1146,6 +1240,8 @@ class ServeDaemon:
                     "p999": percentile(latencies, 0.999),
                 },
                 "per_model": dict(self._per_model),
+                "memo": {"entries": len(self._memo),
+                         "capacity": self._memo_capacity},
                 "max_batch": self.max_batch,
                 "lifecycle": lifecycle_stats,
                 "shadow": {

@@ -481,10 +481,13 @@ class DriftAggregator:
     """Exact per-route drift totals from per-worker cumulative counters.
 
     Workers report *cumulative* :meth:`DriftMonitor.summary` snapshots with
-    each finished batch.  Keeping the latest snapshot per (worker, route)
-    and folding a worker's final snapshot into a retained total when it
-    dies makes the route totals exact across crashes and hot-swap retires
-    — no double counting, no lost counts.
+    each finished batch, stamped with the ``serial`` of the engine that
+    scored them.  Keeping the latest snapshot per (worker, route) and
+    folding an engine's final snapshot into a retained total when it is
+    gone — its worker died, or a snapshot under a new serial shows it was
+    retired and the version warmed again — makes the route totals exact
+    across crashes and hot-swap retires: no double counting, no lost
+    counts.
     """
 
     _COUNTERS = ("count", "flagged", "score_sum", "oob_sum", "token_sum")
@@ -497,19 +500,25 @@ class DriftAggregator:
     def update(self, worker_id: int, route: str,
                snapshot: Dict[str, Any]) -> None:
         with self._lock:
+            previous = self._live.get((worker_id, route))
+            if (previous is not None
+                    and previous.get("serial") != snapshot.get("serial")):
+                self._retire_locked(route, previous)
             self._live[(worker_id, route)] = dict(snapshot)
 
     def forget_worker(self, worker_id: int) -> None:
         """Fold a dead worker's last snapshots into the retained totals."""
         with self._lock:
             for (wid, route), snapshot in list(self._live.items()):
-                if wid != worker_id:
-                    continue
-                del self._live[(wid, route)]
-                totals = self._retired.setdefault(
-                    route, {name: 0.0 for name in self._COUNTERS})
-                for name in self._COUNTERS:
-                    totals[name] += float(snapshot.get(name, 0.0))
+                if wid == worker_id:
+                    del self._live[(wid, route)]
+                    self._retire_locked(route, snapshot)
+
+    def _retire_locked(self, route: str, snapshot: Dict[str, Any]) -> None:
+        totals = self._retired.setdefault(
+            route, {name: 0.0 for name in self._COUNTERS})
+        for name in self._COUNTERS:
+            totals[name] += float(snapshot.get(name, 0.0))
 
     def stats(self) -> Dict[str, Dict[str, Any]]:
         with self._lock:

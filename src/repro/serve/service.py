@@ -166,7 +166,8 @@ class TuningService:
     def __init__(self, registry: Optional[ModelRegistry] = None,
                  max_batch_size: int = 32,
                  max_wait_ms: float = 2.0, cache_size: int = 512,
-                 daemon: Optional[str] = None):
+                 daemon: Optional[str] = None,
+                 memoize_results: bool = True):
         self.registry = registry
         #: socket path of a running serve daemon; when set, ``tune`` and
         #: ``map_device`` are forwarded there instead of loading models
@@ -178,6 +179,9 @@ class TuningService:
         self.max_batch_size = max_batch_size
         self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
+        #: passed to every engine; a serve daemon's workers turn it off,
+        #: because the daemon loop memoizes their answers
+        self.memoize_results = memoize_results
         self._engines: Dict[Tuple[str, int], InferenceEngine] = {}
         self._loading: Dict[Tuple[str, int], threading.Lock] = {}
         self._lock = threading.Lock()
@@ -218,6 +222,7 @@ class TuningService:
                 engine = InferenceEngine(
                     predictor, max_batch_size=self.max_batch_size,
                     max_wait_ms=self.max_wait_ms, cache_size=self.cache_size,
+                    memoize_results=self.memoize_results,
                     drift_monitor=self._drift_monitor(model, key[1]))
                 with self._lock:
                     self._engines[key] = engine

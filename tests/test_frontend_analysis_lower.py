@@ -1,10 +1,13 @@
 """Workload analysis and IR lowering tests."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.frontend import analyze_spec, lower_to_ir
+from repro.frontend.analysis import _count_statements
 from repro.frontend.openmp import OMPConfig, OMPSchedule, default_omp_config
 from repro.frontend.opencl import NDRange, OpenCLKernelInstance
 from repro.frontend.spec import ParallelModel
@@ -46,6 +49,33 @@ class TestWorkloadAnalysis:
     def test_trisolv_keeps_serial_advantage(self):
         w = analyze_spec(registry.get_kernel("polybench/trisolv"), 1.0)
         assert w.serial_advantage > 1.0
+
+    def test_summary_matches_the_two_walk_serial_fraction(self):
+        """``analyze_spec`` reuses its body counts for the serial fraction;
+        the oracle walks the body a second time, as it used to."""
+        def serial_fraction(spec, scale):
+            sizes = spec.dim_sizes(scale)
+            if spec.parallel_loop is None:
+                return 1.0
+
+            def work(statements):
+                counts = _count_statements(statements, sizes, None)
+                return (counts.flops + counts.int_ops + counts.loads
+                        + counts.stores + 1e-9)
+
+            return max(0.0, min(1.0, 1.0 - work([spec.parallel_loop])
+                                / work(spec.body)))
+
+        scales = (0.01, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 4.0, 10.0, 50.0,
+                  300.0)
+        specs = registry.openmp_kernels() + registry.opencl_kernels()
+        for spec in specs:
+            for scale in scales:
+                summary = analyze_spec(spec, scale)
+                oracle = dataclasses.replace(
+                    summary, serial_fraction=serial_fraction(spec, scale))
+                assert repr(dataclasses.astuple(summary)) == \
+                    repr(dataclasses.astuple(oracle)), (spec.uid, scale)
 
     @given(st.floats(0.05, 4.0))
     @settings(max_examples=20, deadline=None)

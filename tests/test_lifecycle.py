@@ -1,5 +1,6 @@
 """Online model lifecycle: atomic publish, hot-swap, shadow deploys, drift."""
 
+import json
 import os
 import tempfile
 import threading
@@ -25,6 +26,7 @@ from repro.serve import (
     TuningService,
 )
 from repro.serve.daemon import _execute_tune_map
+from repro.serve.lifecycle import DriftAggregator
 from repro.serve.drift import (
     FRACTIONS,
     DriftBaseline,
@@ -309,6 +311,28 @@ class TestDriftReporting:
             extras = run(self._requests(pairs, 1) + self._requests(pairs, 2))
             assert set(extras["drift"]) == {"m@2"}
             assert extras["drift"]["m@2"]["count"] == 3
+
+    def test_route_totals_survive_retire_and_warm_again(
+            self, tmp_path, tuner_pair, small_openmp_dataset):
+        """A re-warmed engine counts from 0 under a new serial; the
+        aggregator keeps the retired engine's counts beside it."""
+        registry = _two_version_registry(tmp_path, tuner_pair,
+                                         small_openmp_dataset)
+        sent = weakref.WeakKeyDictionary()
+        aggregator = DriftAggregator()
+        with TuningService(registry) as service:
+            def run(pairs):
+                results, extras = _execute_tune_map(
+                    service, self._requests(pairs, 1), sent)
+                assert all(result["ok"] for result in results)
+                for label, snapshot in extras["drift"].items():
+                    aggregator.update(0, label, snapshot)
+
+            run(REQUEST_GRID[:3])
+            assert service.retire("m", 1)
+            service.warm("m", 1)
+            run(REQUEST_GRID[:1])
+        assert aggregator.stats()["m@1"]["count"] == 4
 
     def test_daemon_drift_stats_match_the_engine(self, tmp_path, tuner_pair,
                                                  small_openmp_dataset):
@@ -704,3 +728,147 @@ class TestRouterLifecycle:
                             pytest.fail("router never surfaced drift stats")
                         assert drift["m@1"]["count"] >= 1
                         assert drift["m@1"]["drifting"] is False
+
+
+# ----------------------------------------------------------------------
+def _answer(response):
+    """A daemon reply without the fields the daemon adds to an answer."""
+    return json.dumps({key: value for key, value in response.items()
+                       if key not in ("latency_ms", "worker", "batch")},
+                      sort_keys=True)
+
+
+class TestLoopMemo:
+    """Repeats of live tune/map requests are answered by the daemon loop."""
+
+    def test_repeat_is_answered_by_the_loop(self, tmp_path, tuner_pair,
+                                            small_openmp_dataset):
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4, watch_interval_s=0.0):
+            with DaemonClient(path) as client:
+                first = _tune(client, kernel="polybench/atax", scale=2.0)
+                repeats = [_tune(client, kernel="polybench/atax", scale=2.0)
+                           for _ in range(3)]
+                pinned = _tune(client, kernel="polybench/atax", scale=2.0,
+                               version=first["version"])
+        assert isinstance(first["worker"], int)
+        for response in repeats + [pinned]:
+            assert _answer(response) == _answer(first)
+            assert response["worker"] is None
+            assert response["latency_ms"] > 0
+        batches = [r["batch"] for r in [first] + repeats + [pinned]]
+        assert len(set(batches)) == len(batches)
+
+    def test_stats_count_hits_as_completed_requests(
+            self, tmp_path, tuner_pair, small_openmp_dataset):
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4, cache_size=64,
+                         watch_interval_s=0.0) as daemon:
+            with DaemonClient(path) as client:
+                for _ in range(4):
+                    _tune(client, kernel="polybench/gemm", scale=0.5)
+            stats = daemon.stats()
+        assert stats["requests"]["received"] == 4
+        assert stats["requests"]["completed"] == 4
+        assert stats["requests"]["memo_hits"] == 3
+        assert stats["requests"]["errors"] == 0
+        assert stats["batches"]["count"] == 1          # hits are not batches
+        assert stats["latency_ms"]["count"] == 4
+        assert stats["per_model"] == {"m": 4}
+        assert stats["memo"] == {"entries": 1, "capacity": 64}
+
+    def test_swap_between_repeats_moves_the_key(self, tmp_path, tuner_pair,
+                                                small_openmp_dataset):
+        """The version is part of the key: after a flip the same request
+        is the new version's, and pinning the old version still hits."""
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
+                         max_batch=4, watch_interval_s=0.0):
+            with DaemonClient(path) as client:
+                client.swap("m", version=1)
+                v1 = [_tune(client) for _ in range(2)]
+                client.swap("m", version=2)
+                v2 = [_tune(client) for _ in range(2)]
+                pinned = _tune(client, version=1)
+                client.swap("m", rollback=True)
+                back = _tune(client)
+        assert [r["version"] for r in v1] == [1, 1]
+        assert [r["version"] for r in v2] == [2, 2]
+        assert v1[1]["worker"] is None and v2[1]["worker"] is None
+        assert isinstance(v2[0]["worker"], int)     # a miss after the flip
+        assert _answer(v2[1]) == _answer(v2[0])
+        for response in (pinned, back):
+            assert response["worker"] is None
+            assert _answer(response) == _answer(v1[0])
+
+    def test_memo_never_exceeds_cache_size(self, tmp_path, tuner_pair,
+                                           small_openmp_dataset):
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4, cache_size=3,
+                         watch_interval_s=0.0) as daemon:
+            with DaemonClient(path) as client:
+                entries = []
+
+                def hit(scale):
+                    response = _tune(client, scale=scale)
+                    entries.append(daemon.stats()["memo"]["entries"])
+                    return response["worker"] is None
+
+                # least recently used first, as the memo should order it
+                assert [hit(s) for s in (0.5, 1.0, 2.0)] == [False] * 3
+                assert hit(0.5)                       # 1.0 2.0 0.5
+                assert not hit(3.0)                   # 2.0 0.5 3.0
+                assert hit(0.5)                       # 2.0 3.0 0.5
+                assert not hit(1.0)                   # 3.0 0.5 1.0
+                assert [hit(s) for s in (4.0, 5.0)] == [False] * 2
+                assert [hit(s) for s in (1.0, 4.0, 5.0)] == [True] * 3
+                assert daemon.stats()["memo"]["capacity"] == 3
+        assert entries == [1, 2, 3] + [3] * 9
+
+    def test_hit_is_teed_to_a_running_shadow(self, tmp_path, tuner_pair,
+                                             small_openmp_dataset):
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
+                         max_batch=4, watch_interval_s=0.0):
+            with DaemonClient(path) as admin:
+                admin.swap("m", version=1)
+                _tune(admin)                          # fills the memo
+                admin.shadow_start("m", 2, fraction=1.0, tolerance=0.25)
+                hit = _tune(admin)
+                assert hit["worker"] is None
+                deadline = time.monotonic() + 10.0
+                while time.monotonic() < deadline:
+                    status = admin.shadow_status("m")
+                    if status["compared"] >= 1:
+                        break
+                    time.sleep(0.05)
+        assert status["teed"] == 1
+        assert status["compared"] == 1
+        assert status["errors"] == 0
+
+    def test_non_scalar_fields_go_to_the_worker(self, tmp_path, tuner_pair,
+                                                small_openmp_dataset):
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4, watch_interval_s=0.0):
+            with DaemonClient(path) as client:
+                for scale in ([1.0], {"x": 1.0}, [1.0]):
+                    with pytest.raises(DaemonError) as err:
+                        _tune(client, scale=scale)
+                    assert err.value.code == "bad_request"
+                    assert "TypeError" in err.value.message
+                assert client.ping()
+                stats = client.stats()
+        assert stats["requests"]["errors"] == 3
+        assert stats["requests"]["memo_hits"] == 0
+        assert stats["memo"]["entries"] == 0
+        assert stats["batches"]["count"] == 3

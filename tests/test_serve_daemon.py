@@ -502,6 +502,31 @@ print(json.dumps({{
         assert report["cold"] == report["memo"] == expected
         assert report["memoized"] == len(queries)
 
+    def test_cli_import_leaves_out_numpy_and_the_model_stack(self):
+        """Commands that only talk to a daemon never load the model."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = ("import json, sys, repro.serve.cli; print(json.dumps("
+                  "[name for name in ('numpy', 'repro.core', "
+                  "'repro.serve.artifacts') if name in sys.modules]))")
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == []
+
+    def test_cli_reports_artifact_errors(self, tmp_path, capsys):
+        from repro.serve.cli import main
+
+        version_dir = tmp_path / "broken" / "v0001"
+        version_dir.mkdir(parents=True)
+        (version_dir / "manifest.json").write_text("{}")
+        assert main(["tune", "--root", str(tmp_path), "--model", "broken",
+                     "--kernel", "polybench/gemm"]) == 1
+        assert "error" in json.loads(capsys.readouterr().err)
+
     def test_sigkilled_daemon_does_not_orphan_its_workers(self):
         """Workers notice their daemon is gone and exit on their own."""
         src = os.path.abspath(os.path.join(os.path.dirname(__file__),
