@@ -1,5 +1,6 @@
-"""Cost gate: CPU per ``predict``, cold request, daemon import and memoized
-daemon request, calibrated.
+"""Cost gate: CPU per ``predict``, cold request (in the engine and as a
+daemon worker receives it), daemon import and memoized daemon request,
+calibrated.
 
 Every other CI perf gate is a ratio between two configurations of the same
 code (speedup vs seed, tape vs eager, 4 workers vs 1), so a uniformly
@@ -19,6 +20,12 @@ predict costs:
   before, so it misses the feature and result caches and pays profiling
   under the default config, but its kernel was seen in warm-up, so the
   per-kernel code cache spares it the GNN and the DAE;
+* ``worker_cold_b1`` is the same cold request as a daemon worker receives
+  it: one wire-format ``tune`` (kernel uid, a never-asked scale, version)
+  through ``daemon._execute_tune_map`` over a ``TuningService`` configured
+  like a worker's.  On top of ``engine_cold_b1`` it pays resolving the
+  kernel uid and the version, building the reply fields and the drift
+  bookkeeping; ``engine_cold_b1`` reuses one spec object per kernel;
 * ``serve_import`` is the cold start of a daemon: the CPU time, summed over
   user and system (``RUSAGE_CHILDREN``), of a fresh interpreter that
   imports what ``python -m repro.serve daemon`` imports before it forks its
@@ -57,6 +64,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import weakref
 
 if __name__ == "__main__":
     # one BLAS thread, set before numpy loads: process CPU time then counts
@@ -71,7 +79,13 @@ import repro
 from repro.core import MGATuner
 from repro.datasets import OpenMPDatasetBuilder
 from repro.kernels import registry
-from repro.serve import DaemonClient, InferenceEngine, ModelRegistry
+from repro.serve import (
+    DaemonClient,
+    InferenceEngine,
+    ModelRegistry,
+    TuningService,
+)
+from repro.serve.daemon import _execute_tune_map
 from repro.simulator.microarch import COMET_LAKE_8C
 from repro.tuners import thread_search_space
 
@@ -84,10 +98,11 @@ ROUNDS = 15
 #: fresh interpreter's imports, which take several times that, and the
 #: daemon requests, which span 20 or more ``/proc`` clock ticks
 CALLS = {"calibration": 40, "b1": 40, "b16": 5, "engine_cold_b1": 120,
-         "serve_import": 1, "daemon_memo": 4000}
+         "worker_cold_b1": 120, "serve_import": 1, "daemon_memo": 4000}
 #: timed figure -> its gate metric (``<name>_calibrated``)
 GATED = {"b1": "predict_b1", "b16": "predict_b16",
-         "engine_cold_b1": "engine_cold_b1", "serve_import": "serve_import",
+         "engine_cold_b1": "engine_cold_b1",
+         "worker_cold_b1": "worker_cold_b1", "serve_import": "serve_import",
          "daemon_memo": "daemon_memo"}
 #: what the daemon parent imports before it forks (``repro.serve.__main__``
 #: imports the CLI, whose ``daemon`` command imports the daemon)
@@ -197,6 +212,36 @@ class MemoDaemon:
         self._dir.cleanup()
 
 
+class WorkerCold:
+    """Cold wire-format ``tune`` requests answered the way a daemon worker
+    answers them, each at a scale never asked before."""
+
+    def __init__(self, tuner, kernels):
+        self._dir = tempfile.TemporaryDirectory(prefix="repro-cost-")
+        ModelRegistry(self._dir.name).publish("mga", tuner)
+        # as a daemon worker builds it: the daemon loop memoizes answers
+        self.service = TuningService(ModelRegistry(self._dir.name),
+                                     memoize_results=False)
+        self.engine, self.version = self.service.engine("mga")
+        self._kernels = itertools.cycle([spec.uid for spec in kernels])
+        self._scales = itertools.count()
+        self._drift_sent = weakref.WeakKeyDictionary()
+
+    def __call__(self) -> None:
+        request = {"op": "tune", "model": "mga",
+                   "kernel": next(self._kernels),
+                   "scale": 1.0 + 1e-4 * next(self._scales),
+                   "version": self.version}
+        results, _ = _execute_tune_map(self.service, [request],
+                                       self._drift_sent)
+        if not results[0]["ok"]:
+            raise RuntimeError(f"worker_cold_b1 failed: {results[0]}")
+
+    def close(self) -> None:
+        self.service.close()
+        self._dir.cleanup()
+
+
 def _cpu_s(fn, calls: int, clock=time.process_time) -> float:
     """CPU seconds per call of ``fn`` over ``calls`` calls, on ``clock``."""
     started = clock()
@@ -251,9 +296,10 @@ def run(quick: bool = False) -> dict:
     second = model.predict_logits(graphs, vectors, extra)
     deterministic = first.tobytes() == second.tobytes()
 
+    worker = WorkerCold(tuner, unseen)
     timed = {"calibration": calibration_kernel, "b1": predict_b1,
              "b16": predict_b16, "engine_cold_b1": engine_cold_b1,
-             "serve_import": serve_import,
+             "worker_cold_b1": worker, "serve_import": serve_import,
              "daemon_memo": MemoDaemon(tuner, unseen[0].uid)}
     daemon = timed["daemon_memo"]
     #: the CPU clock of each figure: this process, the children it waits
@@ -277,6 +323,7 @@ def run(quick: bool = False) -> dict:
                 ratios[name].append(calibration / figure)
     finally:
         daemon.close()
+        worker.close()
 
     result = {
         "quick": quick,
@@ -299,10 +346,11 @@ def run(quick: bool = False) -> dict:
                          for name, r in ratios.items()},
     }
     engine.close()
-    stats = engine.stats()
-    result["engine"] = {key: stats[key] for key in (
-        "cache_hit_rate", "result_cache_hit_rate", "code_cache_hits",
-        "code_cache_misses")}
+    for name, stats in (("engine", engine.stats()),
+                        ("worker_engine", worker.engine.stats())):
+        result[name] = {key: stats[key] for key in (
+            "cache_hit_rate", "result_cache_hit_rate", "code_cache_hits",
+            "code_cache_misses", "memoized_responses")}
     write_bench_json("cost", result)
     return result
 
@@ -316,6 +364,11 @@ def _check(result: dict) -> None:
         "engine_cold_b1 requests must miss the feature and result caches"
     assert engine["code_cache_misses"] == result["queries"], \
         "each unseen kernel's codes must be encoded exactly once"
+    worker = result["worker_engine"]
+    assert worker["cache_hit_rate"] == 0.0 == worker["memoized_responses"], \
+        "worker_cold_b1 requests must miss the feature and result caches"
+    assert worker["code_cache_misses"] == result["queries"], \
+        "worker_cold_b1: each unseen kernel's codes encoded exactly once"
     assert not result["serve_import_loads_scipy"], \
         "the daemon parent must not import scipy"
     first, repeat = result["daemon_memo_workers"]

@@ -103,6 +103,9 @@ class MGATuner:
         Returns the predicted configuration and the profiling counters used.
         Inference needs only the profiling run(s) — no search over the space —
         which is what makes the MGA tuner faster than search-based tuners.
+        A seeded ``profiler`` applies the same noise draws on every profile
+        (see :class:`~repro.profiling.papi.PAPIProfiler`), so sharing one
+        across calls gives each the answer a fresh profiler would.
         """
         if self.model is None:
             raise RuntimeError("tuner is not fitted")

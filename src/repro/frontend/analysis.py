@@ -1,9 +1,14 @@
 """Static workload analysis of kernel specs.
 
-:func:`analyze_spec` walks the statement/expression tree of a
+:func:`analyze_spec` counts the statement/expression tree of a
 :class:`~repro.frontend.spec.KernelSpec` at a concrete input scale and
 produces a :class:`WorkloadSummary`: operation counts, memory traffic,
-access-pattern mix, branch behaviour and load-imbalance descriptors.  The
+access-pattern mix, branch behaviour and load-imbalance descriptors.
+Only the loops' trip counts depend on the scale, so the work is split in
+two: a :class:`WorkloadPlan` does the size-free part once per kernel
+(expression and access counting, access-pattern classification) and
+:meth:`WorkloadPlan.summary` evaluates the trip counts at one scale.  A
+caller that analyses one kernel at many scales keeps the plan.  The
 performance simulator (:mod:`repro.simulator`) is a pure function of this
 summary plus the machine model and runtime configuration — exactly the role
 real execution plays in the paper.
@@ -12,7 +17,7 @@ real execution plays in the paper.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.frontend.expr import (
     AccessPattern,
@@ -72,36 +77,26 @@ class WorkloadSummary:
         return total_ops / max(1, self.parallel_trip)
 
 
+#: positions of the counted quantities in a plan's count vector; the four
+#: access patterns follow, in :class:`AccessPattern` order
+_FIELDS = ("flops", "int_ops", "loads", "stores", "branches", "mispredicts",
+           "calls", "iters", "mem_bytes")
+(_FLOPS, _INT_OPS, _LOADS, _STORES, _BRANCHES, _MISPREDICTS, _CALLS, _ITERS,
+ _MEM_BYTES) = range(len(_FIELDS))
+_PATTERN = {p: len(_FIELDS) + i for i, p in enumerate(AccessPattern)}
+_WIDTH = len(_FIELDS) + len(_PATTERN)
+
+
 class _Counts:
-    """Mutable accumulator used during the walk."""
+    """Execution counts of a statement list at one input size."""
 
-    __slots__ = ("flops", "int_ops", "loads", "stores", "branches",
-                 "mispredicts", "calls", "iters", "pattern_ops", "mem_bytes")
+    __slots__ = _FIELDS + ("pattern_ops",)
 
-    def __init__(self) -> None:
-        self.flops = 0.0
-        self.int_ops = 0.0
-        self.loads = 0.0
-        self.stores = 0.0
-        self.branches = 0.0
-        self.mispredicts = 0.0
-        self.calls = 0.0
-        self.iters = 0.0
-        self.mem_bytes = 0.0
-        self.pattern_ops: Dict[AccessPattern, float] = {p: 0.0 for p in AccessPattern}
-
-    def add(self, other: "_Counts", weight: float = 1.0) -> None:
-        self.flops += other.flops * weight
-        self.int_ops += other.int_ops * weight
-        self.loads += other.loads * weight
-        self.stores += other.stores * weight
-        self.branches += other.branches * weight
-        self.mispredicts += other.mispredicts * weight
-        self.calls += other.calls * weight
-        self.iters += other.iters * weight
-        self.mem_bytes += other.mem_bytes * weight
-        for p, v in other.pattern_ops.items():
-            self.pattern_ops[p] += v * weight
+    def __init__(self, vector: Sequence[float]) -> None:
+        for name, value in zip(_FIELDS, vector):
+            setattr(self, name, value)
+        self.pattern_ops: Dict[AccessPattern, float] = {
+            p: vector[k] for p, k in _PATTERN.items()}
 
 
 # math intrinsics cost several FP operations each; this matches the relative
@@ -110,92 +105,171 @@ _CALL_FLOP_COST = {"sqrt": 4.0, "exp": 8.0, "log": 8.0, "sin": 8.0, "cos": 8.0,
                    "pow": 12.0, "fabs": 1.0, "min": 1.0, "max": 1.0}
 
 
-def _count_expr(expr: Expr, counts: _Counts, innermost: Optional[LoopVar]) -> None:
+# ----------------------------------------------------------------------
+# compilation: everything that does not depend on the input size
+# ----------------------------------------------------------------------
+def _count_expr(expr: Expr, out: List[Tuple[int, float]],
+                innermost: Optional[LoopVar]) -> None:
+    """Append the increments one evaluation of ``expr`` adds, in order."""
     if isinstance(expr, ConstExpr) or isinstance(expr, ScalarRef):
         return
     if isinstance(expr, LoopVar):
-        counts.int_ops += 0.25  # induction arithmetic mostly strength-reduced
+        out.append((_INT_OPS, 0.25))  # induction arithmetic mostly strength-reduced
         return
     if isinstance(expr, ArrayRef):
-        _count_array_access(expr, counts, innermost, is_store=False)
+        _count_array_access(expr, out, innermost, is_store=False)
         return
     if isinstance(expr, BinExpr):
-        _count_expr(expr.lhs, counts, innermost)
-        _count_expr(expr.rhs, counts, innermost)
+        _count_expr(expr.lhs, out, innermost)
+        _count_expr(expr.rhs, out, innermost)
         if expr.dtype.value in ("double", "float"):
-            counts.flops += 1.0
+            out.append((_FLOPS, 1.0))
         else:
-            counts.int_ops += 1.0
+            out.append((_INT_OPS, 1.0))
         return
     if isinstance(expr, CompareExpr):
-        _count_expr(expr.lhs, counts, innermost)
-        _count_expr(expr.rhs, counts, innermost)
-        counts.int_ops += 1.0
+        _count_expr(expr.lhs, out, innermost)
+        _count_expr(expr.rhs, out, innermost)
+        out.append((_INT_OPS, 1.0))
         return
     if isinstance(expr, CallExpr):
         # math intrinsics are inlined vector sequences, not dynamic calls;
-        # they contribute FLOPs only (counts.calls tracks real call flow)
+        # they contribute FLOPs only (the calls count tracks real call flow)
         for arg in expr.args:
-            _count_expr(arg, counts, innermost)
-        counts.flops += _CALL_FLOP_COST.get(expr.func, 4.0)
+            _count_expr(arg, out, innermost)
+        out.append((_FLOPS, _CALL_FLOP_COST.get(expr.func, 4.0)))
         return
     raise TypeError(f"unknown expression node {expr!r}")
 
 
-def _count_array_access(ref: ArrayRef, counts: _Counts,
+def _count_array_access(ref: ArrayRef, out: List[Tuple[int, float]],
                         innermost: Optional[LoopVar], is_store: bool) -> None:
-    elem = sizeof(ref.array.dtype)
-    pattern = ref.access_pattern(innermost)
-    counts.pattern_ops[pattern] += 1.0
-    counts.mem_bytes += elem
-    if is_store:
-        counts.stores += 1.0
-    else:
-        counts.loads += 1.0
+    out.append((_PATTERN[ref.access_pattern(innermost)], 1.0))
+    out.append((_MEM_BYTES, sizeof(ref.array.dtype)))
+    out.append((_STORES if is_store else _LOADS, 1.0))
     # indirect accesses load the index array too
     for idx in ref.indices:
         if hasattr(idx, "array"):  # IndirectIndex
-            counts.loads += 1.0
-            counts.mem_bytes += sizeof(idx.array.dtype)
-            counts.pattern_ops[AccessPattern.UNIT_STRIDE] += 1.0
+            out.append((_LOADS, 1.0))
+            out.append((_MEM_BYTES, sizeof(idx.array.dtype)))
+            out.append((_PATTERN[AccessPattern.UNIT_STRIDE], 1.0))
     # address arithmetic
-    counts.int_ops += max(0, ref.array.rank - 1)
+    out.append((_INT_OPS, max(0, ref.array.rank - 1)))
 
 
-def _count_statements(statements: Sequence[Statement], sizes: Dict[str, int],
-                      innermost: Optional[LoopVar]) -> _Counts:
-    counts = _Counts()
+#: the kinds of a compiled block's steps (see :class:`_Block`)
+_ADD, _LOOP, _WEIGHTED = "add", "loop", "weighted"
+
+
+class _Block:
+    """A compiled statement list: its counts from zero, then its steps.
+
+    ``start`` holds the counts of the leading statements that contain no
+    ``For``: they do not depend on the input size, so they are summed once.
+    Each step replays, in the walk's order, the float operations the
+    counting walk performs for the statements after them:
+
+    * ``(_ADD, increments)``: ``(field, value)`` additions, in order;
+    * ``(_LOOP, for_stmt, body)``: the loop's trip count times the body's
+      counts, then its back-edge branches and induction increments;
+    * ``(_WEIGHTED, block, weight)``: one ``If`` branch that contains a
+      loop, weighted by its probability.
+
+    Evaluating the steps performs the walk's additions and products in the
+    walk's order, so the counts are the walk's, bit for bit.  Adding a
+    zero is skipped: every count is non-negative, so it changes nothing.
+    """
+
+    __slots__ = ("start", "steps")
+
+    def __init__(self) -> None:
+        self.start: List[float] = [0.0] * _WIDTH
+        self.steps: List[tuple] = []
+
+    def add(self, increments: List[Tuple[int, float]]) -> None:
+        increments = [(k, v) for k, v in increments if v]
+        if not self.steps:
+            for k, v in increments:
+                self.start[k] += v
+        elif self.steps[-1][0] is _ADD:
+            self.steps[-1][1].extend(increments)
+        elif increments:
+            self.steps.append((_ADD, increments))
+
+    def evaluate(self, sizes: Dict[str, int], parallel: Optional[For],
+                 found: List[Tuple[List[float], float]]) -> List[float]:
+        """The counts at ``sizes``; appends to ``found`` the body counts
+        and trip count of every evaluation of the loop ``parallel``."""
+        counts = list(self.start)
+        for step in self.steps:
+            kind = step[0]
+            if kind is _ADD:
+                for k, v in step[1]:
+                    counts[k] += v
+            elif kind is _LOOP:
+                loop = step[1]
+                trip = float(resolve_extent(loop.extent, sizes))
+                body = step[2].evaluate(sizes, parallel, found)
+                if loop is parallel:
+                    found.append((body, trip))
+                _add_loop(counts, body, trip)
+            else:
+                weight = step[2]
+                branch = step[1].evaluate(sizes, parallel, found)
+                for k in range(_WIDTH):
+                    counts[k] += branch[k] * weight
+        return counts
+
+
+def _add_loop(counts: List[float], body: List[float], trip: float) -> None:
+    """Add ``trip`` iterations of a loop whose body counts are ``body``."""
+    for k in range(_WIDTH):
+        counts[k] += body[k] * trip
+    counts[_BRANCHES] += trip           # loop back-edge compare+branch
+    counts[_INT_OPS] += trip            # induction increment
+    iters = body[_ITERS]
+    counts[_ITERS] += trip * max(1.0, iters or 1.0) if iters else trip
+
+
+def _compile(statements: Sequence[Statement],
+             innermost: Optional[LoopVar]) -> _Block:
+    block = _Block()
     for stmt in statements:
+        increments: List[Tuple[int, float]] = []
         if isinstance(stmt, (Assign, Reduce)):
-            _count_expr(stmt.expr, counts, innermost)
+            _count_expr(stmt.expr, increments, innermost)
             if isinstance(stmt, Reduce):
-                counts.flops += 1.0  # the accumulate itself
+                increments.append((_FLOPS, 1.0))  # the accumulate itself
                 if isinstance(stmt.target, ArrayRef):
-                    _count_array_access(stmt.target, counts, innermost,
+                    _count_array_access(stmt.target, increments, innermost,
                                         is_store=False)
             if isinstance(stmt.target, ArrayRef):
-                _count_array_access(stmt.target, counts, innermost, is_store=True)
+                _count_array_access(stmt.target, increments, innermost,
+                                    is_store=True)
+            block.add(increments)
         elif isinstance(stmt, If):
-            _count_expr(stmt.cond, counts, innermost)
-            counts.branches += 1.0
+            _count_expr(stmt.cond, increments, innermost)
+            increments.append((_BRANCHES, 1.0))
             p = stmt.taken_probability
-            counts.mispredicts += 2.0 * p * (1.0 - p)  # entropy-like proxy
-            then_counts = _count_statements(stmt.then, sizes, innermost)
-            else_counts = _count_statements(stmt.orelse, sizes, innermost)
-            counts.add(then_counts, p)
-            counts.add(else_counts, 1.0 - p)
+            increments.append((_MISPREDICTS, 2.0 * p * (1.0 - p)))  # entropy-like proxy
+            then = _compile(stmt.then, innermost)
+            orelse = _compile(stmt.orelse, innermost)
+            if then.steps or orelse.steps:
+                block.add(increments)
+                block.steps.append((_WEIGHTED, then, p))
+                block.steps.append((_WEIGHTED, orelse, 1.0 - p))
+            else:
+                weight = 1.0 - p
+                increments.extend((k, v * p) for k, v in enumerate(then.start))
+                increments.extend((k, v * weight)
+                                  for k, v in enumerate(orelse.start))
+                block.add(increments)
         elif isinstance(stmt, For):
-            trip = resolve_extent(stmt.extent, sizes)
-            inner_var = _innermost_var(stmt)
-            body_counts = _count_statements(stmt.body, sizes, inner_var)
-            counts.add(body_counts, float(trip))
-            counts.branches += float(trip)          # loop back-edge compare+branch
-            counts.int_ops += float(trip)           # induction increment
-            counts.iters += float(trip) * max(1.0, body_counts.iters or 1.0) \
-                if body_counts.iters else float(trip)
+            block.steps.append(
+                (_LOOP, stmt, _compile(stmt.body, _innermost_var(stmt))))
         else:
             raise TypeError(f"unknown statement {stmt!r}")
-    return counts
+    return block
 
 
 def _innermost_var(loop: For) -> LoopVar:
@@ -205,61 +279,94 @@ def _innermost_var(loop: For) -> LoopVar:
     return loop.var
 
 
-def _serial_fraction(spec: KernelSpec, sizes: Dict[str, int],
-                     total: _Counts) -> float:
-    """Fraction of ``total`` (the counts of ``spec.body``) that is outside
-    the parallel loop."""
-    parallel = spec.parallel_loop
-    if parallel is None:
-        return 1.0
-    par = _count_statements([parallel], sizes, None)
+def _count_statements(statements: Sequence[Statement], sizes: Dict[str, int],
+                      innermost: Optional[LoopVar]) -> _Counts:
+    """The execution counts of ``statements`` at ``sizes``."""
+    return _Counts(_compile(statements, innermost).evaluate(sizes, None, []))
 
-    def work(c: _Counts) -> float:
-        return c.flops + c.int_ops + c.loads + c.stores + 1e-9
 
-    return max(0.0, min(1.0, 1.0 - work(par) / work(total)))
+def _work(counts: List[float]) -> float:
+    return (counts[_FLOPS] + counts[_INT_OPS] + counts[_LOADS]
+            + counts[_STORES] + 1e-9)
+
+
+class WorkloadPlan:
+    """One kernel's workload analysis, compiled once for every input size.
+
+    The input size enters the analysis only through the loops' trip counts.
+    Expression and access counting, access-pattern classification and the
+    size-free descriptors are done once, here; :meth:`summary` evaluates
+    the trip counts at one scale and replays the counting walk's float
+    operations in its order, so it returns the same
+    :class:`WorkloadSummary` the walk would, bit for bit.  A plan holds no
+    per-scale state and can be shared between threads.
+    """
+
+    def __init__(self, spec: KernelSpec):
+        self.spec = spec
+        self._body = _compile(spec.body, None)
+        self.parallel = spec.parallel_loop
+        self.imbalance = (self.parallel.imbalance if self.parallel is not None
+                          else 0.0)
+        self.has_reduction = any(isinstance(s, Reduce)
+                                 for s in _walk_all(spec.body))
+        self.has_atomic = any(
+            isinstance(s, Reduce) and isinstance(s.target, ArrayRef)
+            and s.target.is_indirect for s in _walk_all(spec.body))
+        self.loop_depth = spec.loop_depth
+
+    def summary(self, scale: float = 1.0) -> WorkloadSummary:
+        """The workload summary of the kernel at input scale ``scale``."""
+        spec = self.spec
+        sizes = spec.dim_sizes(scale)
+        found: List[Tuple[List[float], float]] = []
+        counts = self._body.evaluate(sizes, self.parallel, found)
+        patterns = [counts[k] for k in _PATTERN.values()]
+        pattern_total = sum(patterns) or 1.0
+        if self.parallel is None:
+            parallel_trip, serial_fraction = 1, 1.0
+        else:
+            parallel_trip = resolve_extent(self.parallel.extent, sizes)
+            # the parallel loop's own counts, as a walk of [parallel] sums
+            # them: its body counts, taken from the walk above
+            par = [0.0] * _WIDTH
+            _add_loop(par, *found[0])
+            serial_fraction = max(0.0, min(1.0, 1.0 - _work(par)
+                                           / _work(counts)))
+        mem_bytes = counts[_MEM_BYTES]
+        unit, strided, random, invariant = patterns
+        return WorkloadSummary(
+            kernel=spec.uid,
+            scale=scale,
+            parallel_trip=parallel_trip,
+            total_iterations=max(counts[_ITERS], 1.0),
+            flops=counts[_FLOPS],
+            int_ops=counts[_INT_OPS],
+            loads=counts[_LOADS],
+            stores=counts[_STORES],
+            mem_bytes=mem_bytes,
+            working_set_bytes=float(sum(a.size_bytes(sizes)
+                                        for a in spec.arrays)),
+            branches=counts[_BRANCHES],
+            expected_mispredicts=counts[_MISPREDICTS],
+            calls=counts[_CALLS],
+            unit_stride_frac=unit / pattern_total,
+            strided_frac=strided / pattern_total,
+            random_frac=random / pattern_total,
+            invariant_frac=invariant / pattern_total,
+            has_reduction=self.has_reduction,
+            has_atomic=self.has_atomic,
+            imbalance=self.imbalance,
+            serial_fraction=serial_fraction,
+            loop_depth=self.loop_depth,
+            serial_advantage=spec.serial_advantage,
+            bytes_per_parallel_iter=mem_bytes / max(1, parallel_trip),
+        )
 
 
 def analyze_spec(spec: KernelSpec, scale: float = 1.0) -> WorkloadSummary:
     """Compute the workload summary of ``spec`` at input scale ``scale``."""
-    sizes = spec.dim_sizes(scale)
-    counts = _count_statements(spec.body, sizes, None)
-    pattern_total = sum(counts.pattern_ops.values()) or 1.0
-    parallel = spec.parallel_loop
-    parallel_trip = spec.parallel_trip_count(scale)
-    imbalance = parallel.imbalance if parallel is not None else 0.0
-    has_reduction = any(isinstance(s, Reduce) for s in _walk_all(spec.body))
-    has_atomic = any(
-        isinstance(s, Reduce) and isinstance(s.target, ArrayRef) and s.target.is_indirect
-        for s in _walk_all(spec.body)
-    )
-    mem_bytes = counts.mem_bytes
-    return WorkloadSummary(
-        kernel=spec.uid,
-        scale=scale,
-        parallel_trip=parallel_trip,
-        total_iterations=max(counts.iters, 1.0),
-        flops=counts.flops,
-        int_ops=counts.int_ops,
-        loads=counts.loads,
-        stores=counts.stores,
-        mem_bytes=mem_bytes,
-        working_set_bytes=float(spec.working_set_bytes(scale)),
-        branches=counts.branches,
-        expected_mispredicts=counts.mispredicts,
-        calls=counts.calls,
-        unit_stride_frac=counts.pattern_ops[AccessPattern.UNIT_STRIDE] / pattern_total,
-        strided_frac=counts.pattern_ops[AccessPattern.STRIDED] / pattern_total,
-        random_frac=counts.pattern_ops[AccessPattern.RANDOM] / pattern_total,
-        invariant_frac=counts.pattern_ops[AccessPattern.INVARIANT] / pattern_total,
-        has_reduction=has_reduction,
-        has_atomic=has_atomic,
-        imbalance=imbalance,
-        serial_fraction=_serial_fraction(spec, sizes, counts),
-        loop_depth=spec.loop_depth,
-        serial_advantage=spec.serial_advantage,
-        bytes_per_parallel_iter=mem_bytes / max(1, parallel_trip),
-    )
+    return WorkloadPlan(spec).summary(scale)
 
 
 def _walk_all(statements: Sequence[Statement]):

@@ -5,14 +5,15 @@ from __future__ import annotations
 import dataclasses
 import os
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.frontend.analysis import WorkloadSummary
 from repro.frontend.openmp import OMPConfig, default_omp_config
 from repro.frontend.spec import KernelSpec
 from repro.simulator.microarch import MicroArch
-from repro.simulator.openmp import OpenMPSimulator
+from repro.simulator.openmp import NoiseDraws, OpenMPSimulator
 
 #: The ~20 preset counters collected during dataset construction (§4.1.1).
 PAPI_PRESET_COUNTERS: List[str] = [
@@ -66,6 +67,12 @@ class PAPIProfiler:
     ``REPRO_PROFILE_WALLTIME_SCALE`` / ``REPRO_PROFILE_WALLTIME_CAP``
     environment fallbacks so the emulation reaches worker processes without
     threading a knob through every serving layer; both default to off.
+
+    Every profile restarts the noise stream seeded with ``seed``, so a
+    profile does not depend on the profiles before it, and one profiler can
+    serve requests in any order.  The restarted stream's draws are the same
+    every time, so they are drawn once, when the profiler is built.  With
+    ``seed=None`` every profile draws fresh noise.
     """
 
     def __init__(self, arch: MicroArch, noise: float = 0.015,
@@ -74,6 +81,11 @@ class PAPIProfiler:
                  walltime_cap: Optional[float] = None):
         self.arch = arch
         self.simulator = OpenMPSimulator(arch, noise=noise, seed=seed)
+        # the simulator's stream is freshly seeded here: its first draws are
+        # the ones every restarted profile would take
+        self._draws = (None if seed is None else
+                       NoiseDraws(self.simulator._rng, self.simulator.noise,
+                                  len(PAPI_PRESET_COUNTERS)))
         if walltime_scale is None:
             walltime_scale = float(os.environ.get(WALLTIME_SCALE_ENV, "0"))
         if walltime_cap is None:
@@ -82,22 +94,26 @@ class PAPIProfiler:
         self.walltime_cap = float(walltime_cap)
 
     # ------------------------------------------------------------------
-    def profile(self, spec: KernelSpec, scale: float = 1.0,
-                config: Optional[OMPConfig] = None,
+    def profile(self, spec: Union[KernelSpec, WorkloadSummary],
+                scale: float = 1.0, config: Optional[OMPConfig] = None,
                 events: Optional[Sequence[str]] = None) -> ProfileRecord:
         """Profile one kernel at one input size under one configuration.
 
-        ``events`` defaults to the full preset list; the number of simulated
-        runs needed is ``ceil(len(events) / COUNTERS_PER_RUN)`` (mirroring the
-        hardware restriction of counting only a few events per run) but a single
-        simulator evaluation provides all values.
+        ``spec`` may be the kernel's :class:`WorkloadSummary` at ``scale``
+        instead, as :meth:`OpenMPSimulator.run` accepts: a caller holding a
+        kernel's :class:`~repro.frontend.analysis.WorkloadPlan` skips the
+        analysis.  ``events`` defaults to the full preset list; the number
+        of simulated runs needed is ``ceil(len(events) / COUNTERS_PER_RUN)``
+        (mirroring the hardware restriction of counting only a few events
+        per run) but a single simulator evaluation provides all values.
         """
         config = config or default_omp_config(self.arch.cores)
         events = list(events or PAPI_PRESET_COUNTERS)
         unknown = [e for e in events if e not in PAPI_PRESET_COUNTERS]
         if unknown:
             raise KeyError(f"unknown PAPI events: {unknown}")
-        result = self.simulator.run(spec, config, scale=scale)
+        result = self.simulator.run(spec, config, scale=scale,
+                                    rng=self._draws)
         counters = {e: result.counters[e] for e in events}
         runs_needed = int(np.ceil(len(events) / COUNTERS_PER_RUN))
         if self.walltime_scale > 0.0:
@@ -105,14 +121,22 @@ class PAPIProfiler:
             # profiling runs of a real deployment block on the kernel
             time.sleep(min(result.time_seconds * self.walltime_scale
                            * runs_needed, self.walltime_cap))
-        return ProfileRecord(kernel=spec.uid, scale=scale, config=config,
+        kernel = (spec.kernel if isinstance(spec, WorkloadSummary)
+                  else spec.uid)
+        return ProfileRecord(kernel=kernel, scale=scale, config=config,
                              time_seconds=result.time_seconds,
                              counters=counters, runs_needed=runs_needed)
 
     def profile_many(self, spec: KernelSpec, scales: Sequence[float],
                      configs: Sequence[OMPConfig],
                      events: Optional[Sequence[str]] = None) -> List[ProfileRecord]:
-        """Profile the cartesian product of input sizes and configurations."""
+        """Profile the cartesian product of input sizes and configurations.
+
+        With a seed, every profile of the grid takes the same noise draws
+        (one time factor and one jitter per counter), so the grid's noise
+        is fully correlated across points; ``seed=None`` draws it afresh
+        for each point.
+        """
         records = []
         for scale in scales:
             for config in configs:

@@ -155,11 +155,11 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]],
     warmed again counts from 0 under a new serial, which tells the
     aggregator to keep the old engine's totals.
     """
-    from repro.kernels import registry as kernel_registry
     from repro.serve.service import (
         map_response_fields,
         require_mapper,
         require_tuner,
+        resolve_kernel,
         resolve_tune_scale,
         tune_response_fields,
     )
@@ -172,7 +172,7 @@ def _execute_tune_map(service, requests: List[Dict[str, Any]],
                                              request.get("version"))
             group = groups.setdefault(f"{request['model']}@{version}",
                                       (engine, []))[1]
-            spec = kernel_registry.get_kernel(request["kernel"])
+            spec = resolve_kernel(request["kernel"])
             fields = [request["model"], version, request["kernel"]]
             if request["op"] == "tune":
                 require_tuner(engine.predictor, request["model"])

@@ -17,6 +17,14 @@ are identical across repeated requests for the same (kernel, input size), so
 only the first request pays for lowering, graph construction, encoding and
 the simulated profiling runs.
 
+A cold tune request still profiles at its input size, but only the loops'
+trip counts depend on that size.  The engine compiles each kernel once into a
+:class:`~repro.frontend.analysis.WorkloadPlan`, cached per ``(uid, model)``
+in an LRU bounded by ``cache_size``, and evaluates it at each new size.  It
+profiles through one :class:`~repro.profiling.PAPIProfiler`, which restarts
+its seeded noise stream on every profile, so the counters do not depend on
+the order in which requests arrive.
+
 Only the counters depend on the input: a kernel's GNN embedding and DAE code
 (:meth:`MGAModel.static_codes`) are the same at every scale.  They are cached
 per kernel, keyed on ``(uid, model)``, in a second LRU bounded by the same
@@ -39,6 +47,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.tuner import DeviceMapper, MGATuner
+from repro.frontend.analysis import WorkloadPlan
 from repro.frontend.openmp import OMPConfig, default_omp_config
 from repro.frontend.spec import KernelSpec
 from repro.graphs import batch_graphs
@@ -151,6 +160,12 @@ class InferenceEngine:
         #: per-kernel ``MGAModel.static_codes`` rows (read-only), keyed on
         #: ``(uid, model)``: they do not depend on the input scale
         self.codes = _LRUCache(cache_size)
+        #: per-kernel :class:`~repro.frontend.analysis.WorkloadPlan`, keyed
+        #: on ``(uid, model)``: profiling evaluates it at each new scale
+        self.plans = _LRUCache(cache_size)
+        #: a tuner's one profiler (its profiles do not depend on order)
+        self.profiler = (PAPIProfiler(predictor.arch)
+                         if isinstance(predictor, MGATuner) else None)
         self._code_hits = 0
         self._code_misses = 0
         self._queue: "collections.deque[_Request]" = collections.deque()
@@ -174,9 +189,14 @@ class InferenceEngine:
         key = ("tune", spec.uid, spec.model.value, float(scale))
         cached = self.cache.get(key)
         if cached is None:
-            profiler = PAPIProfiler(tuner.arch)
-            record = profiler.profile(
-                spec, scale=scale, config=default_omp_config(tuner.arch.cores),
+            kernel = (spec.uid, spec.model.value)
+            plan = self.plans.get(kernel)
+            if plan is None:
+                plan = WorkloadPlan(spec)
+                self.plans.put(kernel, plan)
+            record = self.profiler.profile(
+                plan.summary(scale), scale=scale,
+                config=default_omp_config(tuner.arch.cores),
                 events=tuner.counter_names)
             graph, vector = tuner.extractor.extract(spec)
             extra = xp.array([record.counters[name]

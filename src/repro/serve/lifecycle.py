@@ -198,6 +198,10 @@ class LifecycleManager:
         with self._lock:
             state = self._routes.get(model)
             if state is None:
+                if latest is None:
+                    # nothing published: a route for every name asked
+                    # about would grow without bound
+                    return None
                 state = self._routes[model] = _RouteState(model, latest)
             elif state.active_version is None:
                 state.active_version = latest

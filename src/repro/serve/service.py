@@ -4,8 +4,9 @@
 :class:`~repro.serve.registry.ModelRegistry`, lazily loads each requested
 ``model`` (name, optional version) into a per-model
 :class:`~repro.serve.engine.InferenceEngine`, resolves kernels by their
-``suite/name`` uid through :mod:`repro.kernels`, and keeps service-level
-latency/throughput counters.
+``suite/name`` uid through :mod:`repro.kernels` (each once per process, see
+:func:`resolve_kernel`), and keeps service-level latency/throughput
+counters.
 """
 
 from __future__ import annotations
@@ -130,6 +131,23 @@ def resolve_tune_scale(spec, scale: Optional[float],
     if target_bytes is not None:
         return spec.scale_for_bytes(float(target_bytes))
     return 1.0 if scale is None else float(scale)
+
+
+#: every kernel spec this process has resolved, by uid
+_KERNELS: Dict[str, Any] = {}
+
+
+def resolve_kernel(uid: str):
+    """The :class:`~repro.frontend.spec.KernelSpec` of a ``suite/name`` uid.
+
+    Each kernel is built once per process and then shared: serving code
+    only reads specs.  An unknown uid raises ``KeyError`` and is not
+    stored, so the table holds at most the kernel registry.
+    """
+    spec = _KERNELS.get(uid)
+    if spec is None:
+        spec = _KERNELS[uid] = kernel_registry.get_kernel(uid)
+    return spec
 
 
 def require_tuner(predictor, model: str) -> None:
@@ -263,10 +281,6 @@ class TuningService:
         _, resolved = self.engine(model, version)
         return resolved
 
-    @staticmethod
-    def _resolve_kernel(uid: str):
-        return kernel_registry.get_kernel(uid)
-
     def _record(self, model: str, started: float, failed: bool) -> float:
         latency_ms = 1e3 * (time.perf_counter() - started)
         with self._stats_lock:
@@ -307,7 +321,7 @@ class TuningService:
         try:
             engine, version = self.engine(request.model, request.version)
             require_tuner(engine.predictor, request.model)
-            spec = self._resolve_kernel(request.kernel)
+            spec = resolve_kernel(request.kernel)
             scale = resolve_tune_scale(spec, request.scale,
                                        request.target_bytes)
             config, counters = engine.tune(spec, scale)
@@ -344,7 +358,7 @@ class TuningService:
                     raise ValueError("kernel is required unless resuming "
                                      "from a checkpoint")
                 arch = get_microarch(request.arch)
-                spec_kernel = self._resolve_kernel(request.kernel)
+                spec_kernel = resolve_kernel(request.kernel)
                 if request.space == "threads":
                     space = thread_search_space(arch)
                 elif request.space == "full":
@@ -400,7 +414,7 @@ class TuningService:
         try:
             engine, version = self.engine(request.model, request.version)
             require_mapper(engine.predictor, request.model)
-            spec = self._resolve_kernel(request.kernel)
+            spec = resolve_kernel(request.kernel)
             label = engine.map_device(spec, request.transfer_bytes,
                                       request.wgsize)
         except BaseException:

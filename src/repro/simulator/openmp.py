@@ -57,6 +57,26 @@ class ExecutionResult:
         return self.counters[name]
 
 
+class NoiseDraws:
+    """The noise of one simulated execution, drawn ahead of it.
+
+    :meth:`OpenMPSimulator.run` draws a time factor, then one jitter per
+    counter.  A caller that restarts the noise stream from one seed before
+    every run, so that a run does not depend on the runs before it, would
+    draw the same numbers every time: it draws them once, here, and passes
+    them to :meth:`~OpenMPSimulator.run` as ``rng``.  ``rng`` is the
+    freshly seeded stream; the draws are taken from its start.
+    """
+
+    __slots__ = ("time_factor", "jitter")
+
+    def __init__(self, rng: np.random.Generator, noise: float,
+                 counters: int):
+        self.time_factor = float(np.exp(rng.normal(0.0, noise)))
+        self.jitter = np.exp(rng.normal(0.0, noise * 2.0, size=counters))
+        self.jitter.flags.writeable = False
+
+
 class OpenMPSimulator:
     """Reusable simulator bound to one micro-architecture."""
 
@@ -87,8 +107,13 @@ class OpenMPSimulator:
     # ------------------------------------------------------------------
     def run(self, workload: Union[KernelSpec, WorkloadSummary],
             config: OMPConfig, scale: float = 1.0,
-            rng: Optional[np.random.Generator] = None) -> ExecutionResult:
-        """Simulate one execution and return time + counters."""
+            rng: Union[np.random.Generator, NoiseDraws, None] = None
+            ) -> ExecutionResult:
+        """Simulate one execution and return time + counters.
+
+        The noise is drawn from ``rng`` (default: the simulator's own
+        stream), or taken from it when it is a :class:`NoiseDraws`.
+        """
         summary = (workload if isinstance(workload, WorkloadSummary)
                    else analyze_spec(workload, scale))
         rng = rng or self._rng
@@ -119,10 +144,23 @@ class OpenMPSimulator:
         serial_s = self._serial_time(summary)
 
         total = serial_s + parallel_s
+        drawn = isinstance(rng, NoiseDraws)
         if self.noise > 0:
-            total *= float(np.exp(rng.normal(0.0, self.noise)))
+            total *= (rng.time_factor if drawn
+                      else float(np.exp(rng.normal(0.0, self.noise))))
 
-        counters = self._counters(summary, traffic, total, eff_threads, rng)
+        counters = self._counters(summary, traffic, total, eff_threads)
+        if self.noise > 0:
+            if drawn:
+                jitter = rng.jitter
+                if len(jitter) != len(counters):
+                    raise ValueError(f"{len(jitter)} jitter draws for "
+                                     f"{len(counters)} counters")
+            else:
+                jitter = np.exp(rng.normal(0.0, self.noise * 2.0,
+                                           size=len(counters)))
+            counters = {k: float(v * j)
+                        for (k, v), j in zip(counters.items(), jitter)}
         breakdown = {
             "serial": serial_s,
             "compute": compute_s,
@@ -240,8 +278,8 @@ class OpenMPSimulator:
 
     # ------------------------------------------------------------------
     def _counters(self, summary: WorkloadSummary, traffic: CacheTraffic,
-                  time_s: float, threads: int,
-                  rng: np.random.Generator) -> Dict[str, float]:
+                  time_s: float, threads: int) -> Dict[str, float]:
+        """The counters of one execution, before noise."""
         arch = self.arch
         mispredicts = (summary.expected_mispredicts
                        + summary.branches * BASE_MISPREDICT_RATE)
@@ -276,10 +314,6 @@ class OpenMPSimulator:
             "PAPI_CA_CLN": summary.stores * 0.1,
             "PAPI_PRF_DM": traffic.accesses * summary.strided_frac * 0.3,
         }
-        if self.noise > 0:
-            jitter = np.exp(rng.normal(0.0, self.noise * 2.0, size=len(counters)))
-            counters = {k: float(v * j)
-                        for (k, v), j in zip(counters.items(), jitter)}
         return counters
 
 

@@ -478,6 +478,33 @@ class TestHotSwap:
                 assert not route["pinned"]
                 assert route["last_swap"]["reason"] == "registry-watch"
 
+    def test_unpublished_models_leave_no_route(
+            self, tmp_path, tuner_pair, small_openmp_dataset):
+        """A tune for a model nobody published stores no route state, so
+        the route table stays bounded; a model published later resolves."""
+        registry = _two_version_registry(tmp_path, tuner_pair,
+                                         small_openmp_dataset)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=1,
+                         max_batch=4):
+            with DaemonClient(path) as client:
+                assert _tune(client)["version"] == 2
+                routes = client.stats()["lifecycle"]["routes"]
+                for i in range(200):
+                    with pytest.raises(DaemonError) as excinfo:
+                        client.request({"op": "tune", "model": f"ghost-{i}",
+                                        "kernel": "polybench/gemm",
+                                        "scale": 1.0})
+                    assert excinfo.value.code == "bad_request"
+                assert client.stats()["lifecycle"]["routes"] == routes
+                registry.publish("ghost-7", tuner_pair[0])
+                late = client.request({"op": "tune", "model": "ghost-7",
+                                       "kernel": "polybench/gemm",
+                                       "scale": 1.0})
+                assert late["version"] == 1
+                assert client.stats()["lifecycle"]["routes"][
+                    "ghost-7"]["active_version"] == 1
+
     def test_pinned_route_ignores_publishes_until_rollback(
             self, tmp_path, tuner_pair, small_openmp_dataset):
         registry = _two_version_registry(tmp_path, tuner_pair,

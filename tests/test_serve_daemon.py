@@ -154,6 +154,23 @@ class TestDaemonServing:
             # the connection survives every error response
             assert client.ping()
 
+    def test_unknown_kernel_is_a_bad_request(self, serving_daemon):
+        """Workers share one resolved spec per uid; a uid the registry does
+        not know is still rejected per request, and the next good request
+        on the same connection is answered."""
+        with DaemonClient(serving_daemon.socket_path) as client:
+            for _ in range(2):
+                with pytest.raises(DaemonError) as err:
+                    client.request({"op": "tune", "model": "openmp",
+                                    "kernel": "polybench/no-such-kernel",
+                                    "scale": 1.25})
+                assert err.value.code == "bad_request"
+                assert "no-such-kernel" in err.value.message
+            answer = client.request({"op": "tune", "model": "openmp",
+                                     "kernel": "polybench/gemm",
+                                     "scale": 1.25})
+            assert answer["kernel"] == "polybench/gemm"
+
     def test_failed_requests_leave_per_model_bounded(self, serving_daemon):
         before = set(serving_daemon.stats()["per_model"])
         with DaemonClient(serving_daemon.socket_path) as client:
