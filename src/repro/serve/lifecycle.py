@@ -226,11 +226,10 @@ class LifecycleManager:
             raise SwapError("daemon has no model registry")
         with self._swap_lock:
             with self._lock:
+                # a route is made only at the flip: a failed swap leaves none
                 state = self._routes.get(model)
-                if state is None:
-                    state = self._routes[model] = _RouteState(model, None)
-                current = state.active_version
-                previous = state.previous_version
+                current = state and state.active_version
+                previous = state and state.previous_version
             if rollback:
                 if previous is None:
                     raise SwapError(f"route {model!r} has no previous "
@@ -262,6 +261,8 @@ class LifecycleManager:
             # the flip: one pointer write under the lock the dispatcher
             # reads through — strictly between micro-batches
             with self._lock:
+                state = self._routes.setdefault(model,
+                                                _RouteState(model, None))
                 state.previous_version = current
                 state.active_version = target
                 state.pinned = pinned

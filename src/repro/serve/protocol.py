@@ -59,8 +59,6 @@ import socket
 import threading
 from typing import Any, Callable, Dict, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.serve import faults
 
 #: requests the dispatcher batches and hands to worker processes
@@ -427,6 +425,8 @@ def objective_to_wire(objective) -> Dict[str, Any]:
     trips IEEE-754 doubles), so an objective evaluated remotely produces
     the same measurement bytes as a local run.
     """
+    import numpy as np
+
     from repro.tuners.campaign import LookupObjectiveSpec, SimObjectiveSpec
 
     if isinstance(objective, LookupObjectiveSpec):
@@ -440,6 +440,8 @@ def objective_to_wire(objective) -> Dict[str, Any]:
 
 
 def objective_from_wire(data: Dict[str, Any]):
+    import numpy as np
+
     from repro.tuners.campaign import LookupObjectiveSpec, SimObjectiveSpec
 
     kind = data.get("type")
@@ -479,6 +481,8 @@ def outcome_to_wire(outcome) -> Dict[str, Any]:
 
 
 def outcome_from_wire(data: Dict[str, Any]):
+    import numpy as np
+
     from repro.tuners.campaign import SessionOutcome
 
     return SessionOutcome(

@@ -41,6 +41,11 @@ Failure handling (qualified by ``tests/test_fleet_chaos.py`` under
   checkpoints of :class:`TuningCampaign` plus a fresh ``campaign_id`` per
   incarnation (stale submissions are ignored as foreign) make
   kill-then-:meth:`~CampaignCoordinator.resume` exact.
+
+The coordinator serves from one ``fleet-loop`` thread, a :mod:`selectors`
+loop over the daemon's and router's :class:`~repro.serve.protocol.FrontEnd`.
+:meth:`~CampaignCoordinator.run` sleeps until a request changes the batch or
+the next lease deadline or local-fallback moment: nothing polls.
 """
 
 from __future__ import annotations
@@ -48,7 +53,7 @@ from __future__ import annotations
 import json
 import os
 import random
-import socket
+import selectors
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -57,7 +62,7 @@ from repro.frontend.openmp import OMPConfig
 from repro.serve import faults
 from repro.serve.protocol import (
     ERR_BAD_REQUEST,
-    ClientConnection,
+    FrontEnd,
     ProtocolError,
     close_listener,
     create_listener,
@@ -77,6 +82,9 @@ _DONE = "done"
 
 #: lease id of slots the coordinator claimed for inline evaluation
 _LOCAL_LEASE = "local"
+
+#: how long a worker waits before asking again after an empty lease reply
+_RETRY_MS = 25.0
 
 
 class _Slot:
@@ -116,8 +124,7 @@ class CampaignCoordinator:
 
     def __init__(self, campaign: TuningCampaign, address: str,
                  lease_timeout: float = 2.0, max_lease_configs: int = 4,
-                 local_fallback_s: Optional[float] = 1.0,
-                 poll_ms: float = 25.0):
+                 local_fallback_s: Optional[float] = 1.0):
         if lease_timeout <= 0:
             raise ValueError("lease_timeout must be > 0")
         if max_lease_configs < 1:
@@ -129,7 +136,6 @@ class CampaignCoordinator:
         self.max_lease_configs = int(max_lease_configs)
         self.local_fallback_s = (None if local_fallback_s is None
                                  else float(local_fallback_s))
-        self.poll_ms = float(poll_ms)
         #: one incarnation = one campaign id; submissions from before a
         #: coordinator restart carry the old id and are ignored as foreign
         self.campaign_id = f"c{os.urandom(6).hex()}"
@@ -143,12 +149,10 @@ class CampaignCoordinator:
         self._workers_seen: Dict[str, float] = {}
         self._last_worker_contact = time.monotonic()
         self._running = False
-        self._stopping = False
         self._done = False
-        self._listener: Optional[socket.socket] = None
-        self._accept_thread: Optional[threading.Thread] = None
-        #: connection thread -> its socket (finished ones pruned on accept)
-        self._conns: Dict[threading.Thread, socket.socket] = {}
+        self._listener = None
+        self._front: Optional[FrontEnd] = None
+        self._loop_thread: Optional[threading.Thread] = None
         self._inline_objective = None
         # counters (exposed by stats)
         self._leases_issued = 0
@@ -168,49 +172,38 @@ class CampaignCoordinator:
     def resume(cls, path, address: str, lease_timeout: float = 2.0,
                max_lease_configs: int = 4,
                local_fallback_s: Optional[float] = 1.0,
-               poll_ms: float = 25.0, **campaign_overrides
+               **campaign_overrides
                ) -> "CampaignCoordinator":
         """A coordinator over :meth:`TuningCampaign.resume` of ``path``."""
         campaign = TuningCampaign.resume(path, **campaign_overrides)
         return cls(campaign, address, lease_timeout=lease_timeout,
                    max_lease_configs=max_lease_configs,
-                   local_fallback_s=local_fallback_s, poll_ms=poll_ms)
+                   local_fallback_s=local_fallback_s)
 
     def start(self) -> "CampaignCoordinator":
         if self._running:
             raise RuntimeError("coordinator already started")
         self._listener, self.address = create_listener(self.address)
+        self._front = FrontEnd(selectors.DefaultSelector(), self._listener,
+                               self._handle_request)
         self._running = True
         self._last_worker_contact = time.monotonic()
-        self._accept_thread = threading.Thread(target=self._accept_loop,
-                                               name="fleet-accept",
-                                               daemon=True)
-        self._accept_thread.start()
+        self._loop_thread = threading.Thread(target=self._loop,
+                                             name="fleet-loop", daemon=True)
+        self._loop_thread.start()
         return self
 
     def shutdown(self) -> None:
-        """Stop serving; returns once the accept thread and every
-        connection thread have exited."""
+        """Stop serving; returns once the loop has exited and closed every
+        socket it owned (called on the loop, it only marks the stop)."""
         with self._lock:
-            if not self._running:
-                return
             self._running = False
-            self._stopping = True
             self._progress.notify_all()
-        close_listener(self._listener, self.address)
-        # the accept thread has exited once joined, so the connection set
-        # is final; shut each socket to wake its thread out of recv()
-        self._accept_thread.join()
-        with self._lock:
-            conns, self._conns = self._conns, {}
-        for conn in conns.values():
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-        for thread in conns:
-            if thread is not threading.current_thread():
-                thread.join()
+        loop = self._loop_thread
+        if loop is not None:
+            self._front.wake()
+            if loop is not threading.current_thread():
+                loop.join()
 
     def __enter__(self) -> "CampaignCoordinator":
         return self.start() if not self._running else self
@@ -241,7 +234,7 @@ class CampaignCoordinator:
         while len(campaign.history) < budget and (
                 batches_limit is None or campaign.batches < batches_limit):
             with self._lock:
-                if self._stopping:
+                if not self._running:
                     break
             k = min(campaign.batch_size, budget - len(campaign.history))
             pre_ask_rng = campaign._rng.bit_generator.state
@@ -303,7 +296,7 @@ class CampaignCoordinator:
         while True:
             claim = None
             with self._lock:
-                if self._stopping:
+                if not self._running:
                     return False
                 if all(slot.state == _DONE for slot in self._slots):
                     return True
@@ -317,7 +310,9 @@ class CampaignCoordinator:
                             claim = slot
                             break
                 if claim is None:
-                    self._progress.wait(timeout=self.poll_ms / 1e3)
+                    wake = self._next_wake_locked(now)
+                    self._progress.wait(None if wake is None
+                                        else max(0.0, wake - now))
                     continue
             # inline evaluation happens outside the lock; the value is the
             # same pure function of (spec, key) the workers compute
@@ -328,6 +323,16 @@ class CampaignCoordinator:
                     claim.state = _DONE
                     self._local_evals += 1
                     self._progress.notify_all()
+
+    def _next_wake_locked(self, now: float) -> Optional[float]:
+        """The earliest lease deadline, or the local-fallback moment while
+        it is ahead (once passed, run() claims pending slots at once)."""
+        moments = [lease.deadline for lease in self._leases.values()]
+        if self.local_fallback_s is not None:
+            fallback = self._last_worker_contact + self.local_fallback_s
+            if fallback > now:
+                moments.append(fallback)
+        return min(moments, default=None)
 
     def _local_objective(self):
         if self._inline_objective is None:
@@ -359,61 +364,48 @@ class CampaignCoordinator:
     # ------------------------------------------------------------------
     # the wire surface
     # ------------------------------------------------------------------
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return
-            with self._lock:
-                if not self._running:
-                    conn.close()
-                    return
-                thread = threading.Thread(target=self._serve_connection,
-                                          args=(conn,), name="fleet-conn",
-                                          daemon=True)
-                self._conns = {t: c for t, c in self._conns.items()
-                               if t.is_alive()}
-                self._conns[thread] = conn
-                thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        channel = ClientConnection(conn)
+    def _loop(self) -> None:
+        selector = self._front.selector
         try:
-            while True:
-                try:
-                    request = channel.recv()
-                except (ProtocolError, OSError):
-                    return      # undecodable stream or a dead peer: hang up
-                if request is None:
-                    return
-                self._handle_request(request, channel.reply)
+            while self._running:
+                for key, _ in selector.select():
+                    # skip a socket an earlier handler of this batch dropped
+                    if selector.get_map().get(key.fd) is key:
+                        handler, source = key.data
+                        handler(source)
         finally:
-            channel.close()
+            # the loop owns every socket: release them as it exits
+            self._front.close()
+            selector.close()
+            close_listener(self._listener, self.address)
 
-    def _handle_request(self, request: Dict[str, Any], reply) -> None:
+    def _handle_request(self, request: Dict[str, Any], client) -> None:
         try:
             request_id, op = validate_request(request)
         except ProtocolError as exc:
-            reply(error_response(request.get("id"), ERR_BAD_REQUEST,
-                                 str(exc)))
+            client.reply(error_response(request.get("id"), ERR_BAD_REQUEST,
+                                        str(exc)))
             return
         if op == "ping":
-            reply(ok_response(request_id, {"pong": True, "fleet": True}))
+            result = {"pong": True, "fleet": True}
         elif op == "stats":
-            reply(ok_response(request_id, self.stats()))
+            result = self.stats()
         elif op == "shutdown":
-            reply(ok_response(request_id, {"stopped": True, "fleet": True}))
-            threading.Thread(target=self.shutdown, daemon=True).start()
+            result = {"stopped": True, "fleet": True}
+            with self._lock:
+                self._running = False       # run() returns, the loop exits
+                self._progress.notify_all()
         elif op == "lease":
-            reply(ok_response(request_id, self._handle_lease(request)))
+            result = self._handle_lease(request)
         elif op == "heartbeat":
-            reply(ok_response(request_id, self._handle_heartbeat(request)))
+            result = self._handle_heartbeat(request)
         elif op == "submit":
-            reply(ok_response(request_id, self._handle_submit(request)))
+            result = self._handle_submit(request)
         else:
-            reply(error_response(request_id, ERR_BAD_REQUEST,
-                                 f"op {op!r} is not a fleet operation"))
+            client.reply(error_response(request_id, ERR_BAD_REQUEST,
+                                        f"op {op!r} is not a fleet operation"))
+            return
+        client.reply(ok_response(request_id, result))
 
     def _touch_locked(self, worker: str) -> None:
         now = time.monotonic()
@@ -430,7 +422,7 @@ class CampaignCoordinator:
             free = [slot for slot in self._slots if slot.state == _PENDING]
             if not free:
                 return {"empty": True, "done": self._done,
-                        "retry_ms": self.poll_ms}
+                        "retry_ms": _RETRY_MS}
             grant = free[:want]
             lease_id = f"l{self._next_lease}"
             self._next_lease += 1
@@ -441,6 +433,7 @@ class CampaignCoordinator:
                 slot.state = _LEASED
                 slot.lease_id = lease_id
             self._leases_issued += 1
+            self._progress.notify_all()      # run() waits for the deadline
             return {
                 "campaign": self.campaign_id,
                 "lease": lease_id,
@@ -576,7 +569,7 @@ class CampaignWorker:
                 if grant.get("empty"):
                     if grant.get("done"):
                         break
-                    time.sleep(float(grant.get("retry_ms", 25.0)) / 1e3)
+                    time.sleep(float(grant.get("retry_ms", _RETRY_MS)) / 1e3)
                     continue
                 wire = grant["objective"]
                 cache_key = json.dumps(wire, sort_keys=True)

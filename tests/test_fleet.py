@@ -39,6 +39,7 @@ from repro.tuners import (
     make_tuner,
 )
 from repro.tuners.campaign import LookupObjectiveSpec
+from repro.tuners.fleet import _Slot
 
 
 def _socket_path():
@@ -378,8 +379,8 @@ class TestFleetCampaign:
         assert final.run().history == serial_history
 
     def test_shutdown_joins_accept_and_connection_threads(self, space):
-        """``shutdown()`` returns only after the accept thread and every
-        connection thread have exited, with clients still connected."""
+        """``shutdown()`` returns only after the loop thread that serves
+        every connection has exited, with clients still connected."""
         before = set(threading.enumerate())
         coordinator = CampaignCoordinator(_fresh_campaign(space),
                                           _socket_path()).start()
@@ -393,6 +394,81 @@ class TestFleetCampaign:
         finally:
             for client in clients:
                 client.close()
+
+
+    def test_one_loop_thread_serves_every_client(self, space):
+        """Three connected clients are served by one ``fleet-loop`` thread,
+        and ``shutdown()`` leaves no thread and no fd behind."""
+        def cycle():
+            before = set(threading.enumerate())
+            coordinator = CampaignCoordinator(_fresh_campaign(space),
+                                              _socket_path()).start()
+            clients = [DaemonClient(coordinator.address) for _ in range(3)]
+            try:
+                assert all(client.ping() for client in clients)
+                serving = [t.name for t in threading.enumerate()
+                           if t not in before]
+                coordinator.shutdown()
+                leaked = [t.name for t in threading.enumerate()
+                          if t not in before]
+                return serving, leaked
+            finally:
+                for client in clients:
+                    client.close()
+
+        def open_fds() -> int:
+            return len(os.listdir("/proc/self/fd"))
+
+        assert cycle() == (["fleet-loop"], [])      # the warm-up cycle
+        opened = open_fds()
+        assert cycle() == (["fleet-loop"], [])
+        assert open_fds() <= opened
+
+
+class TestWakeTime:
+    """When ``run`` wakes without a request, at a fixed ``now``."""
+
+    def _coordinator(self, space, local_fallback_s):
+        coordinator = CampaignCoordinator(_fresh_campaign(space),
+                                          _socket_path(),
+                                          local_fallback_s=local_fallback_s)
+        coordinator._slots = [_Slot(i, i, space[i]) for i in range(4)]
+        coordinator._slot_by_eval = {slot.eval_index: slot
+                                     for slot in coordinator._slots}
+        return coordinator
+
+    def _wake(self, coordinator, now):
+        with coordinator._lock:
+            return coordinator._next_wake_locked(now)
+
+    def test_nothing_to_wait_for(self, space):
+        assert self._wake(self._coordinator(space, None), 100.0) is None
+
+    def test_fallback_moment_until_it_passes(self, space):
+        coordinator = self._coordinator(space, 1.0)
+        coordinator._last_worker_contact = 100.0
+        assert self._wake(coordinator, 100.5) == 101.0
+        # once due, pending slots are claimed at once: no wake is needed
+        assert self._wake(coordinator, 101.5) is None
+
+    def test_earliest_lease_deadline_and_heartbeat(self, space):
+        coordinator = self._coordinator(space, 10.0)
+        now = time.monotonic()
+        for _ in range(2):
+            coordinator._handle_lease({"worker": "w", "max_configs": 1})
+        first, second = (coordinator._leases[lease].deadline
+                         for lease in ("l0", "l1"))
+        assert now < first <= second < coordinator._last_worker_contact + 10
+        assert self._wake(coordinator, now) == first
+        assert coordinator._handle_heartbeat({"worker": "w",
+                                              "lease": "l0"})["valid"]
+        assert coordinator._leases["l0"].deadline > first
+        assert self._wake(coordinator, now) == second
+        # a fallback moment ahead of both deadlines wins
+        coordinator._last_worker_contact = now - 9.5
+        fallback = coordinator._last_worker_contact + 10.0
+        assert now < fallback < first
+        assert self._wake(coordinator, now) == fallback
 
 
 # ----------------------------------------------------------------------

@@ -26,7 +26,7 @@ from repro.serve import (
     TuningService,
 )
 from repro.serve.daemon import _execute_tune_map
-from repro.serve.lifecycle import DriftAggregator
+from repro.serve.lifecycle import DriftAggregator, LifecycleManager, SwapError
 from repro.serve.drift import (
     FRACTIONS,
     DriftBaseline,
@@ -504,6 +504,21 @@ class TestHotSwap:
                 assert late["version"] == 1
                 assert client.stats()["lifecycle"]["routes"][
                     "ghost-7"]["active_version"] == 1
+
+    def test_failed_swaps_leave_no_route(self, tmp_path, tuner_pair):
+        """A swap that fails its target check stores no route state, so a
+        model published after it resolves to its latest version at once."""
+        registry = ModelRegistry(str(tmp_path))
+        lifecycle = LifecycleManager(registry, warm=lambda *args: None,
+                                     retire=lambda *args: None)
+        routes = lifecycle.stats()["routes"]
+        for i in range(50):
+            with pytest.raises(SwapError):
+                lifecycle.swap(f"ghost-{i}")
+        assert lifecycle.stats()["routes"] == routes
+        registry.publish("ghost-7", tuner_pair[0])
+        assert lifecycle.resolve("ghost-7") == 1
+        assert lifecycle.swap("ghost-7")["swapped"] is False
 
     def test_pinned_route_ignores_publishes_until_rollback(
             self, tmp_path, tuner_pair, small_openmp_dataset):

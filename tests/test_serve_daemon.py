@@ -764,3 +764,18 @@ class TestProtocol:
             with pytest.raises(ProtocolError):
                 validate_request(document)
         assert validate_request({"op": "ping", "id": 7}) == (7, "ping")
+
+    def test_protocol_import_leaves_out_numpy(self):
+        """Speaking the wire protocol loads numpy only to convert fleet
+        objectives and session outcomes."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = ("import sys, repro.serve.protocol; "
+                  "print('numpy' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, env=env,
+                               timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == "False"
