@@ -28,9 +28,9 @@ predict costs:
   bookkeeping; ``engine_cold_b1`` reuses one spec object per kernel;
 * ``serve_import`` is the cold start of a daemon: the CPU time, summed over
   user and system (``RUSAGE_CHILDREN``), of a fresh interpreter that
-  imports what ``python -m repro.serve daemon`` imports before it forks its
-  workers.  Its workers inherit those modules, so this is most of what a
-  daemon pays between launch and ready;
+  imports what ``python -m repro.serve daemon --root`` imports before it
+  forks its workers.  None of it is numpy or the model stack: each worker
+  imports those after the fork, in parallel with the others;
 * ``daemon_memo`` is one memoized ``tune`` through a 2-worker ``python -m
   repro.serve daemon`` over the trained model, sent back to back on one
   unix-socket connection: user plus system CPU time summed over the daemon
@@ -105,8 +105,9 @@ GATED = {"b1": "predict_b1", "b16": "predict_b16",
          "worker_cold_b1": "worker_cold_b1", "serve_import": "serve_import",
          "daemon_memo": "daemon_memo"}
 #: what the daemon parent imports before it forks (``repro.serve.__main__``
-#: imports the CLI, whose ``daemon`` command imports the daemon)
-SERVE_IMPORTS = "import repro.serve.cli, repro.serve.daemon"
+#: imports the CLI, whose ``daemon`` command imports the daemon, which
+#: imports the registry for ``--root``)
+SERVE_IMPORTS = "import repro.serve.cli, repro.serve.daemon, repro.serve.registry"
 #: the child imports ``repro`` from where this process does
 CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
     os.path.dirname(os.path.dirname(repro.__file__)),
@@ -138,11 +139,11 @@ def serve_import() -> None:
                    check=True)
 
 
-def _serve_imports_load_scipy() -> bool:
-    """Whether the daemon parent's imports load ``scipy``."""
+def _serve_imports_load(module: str) -> bool:
+    """Whether the daemon parent's imports load ``module``."""
     probe = subprocess.run(
         [sys.executable, "-c",
-         SERVE_IMPORTS + "; import sys; print('scipy' in sys.modules)"],
+         SERVE_IMPORTS + f"; import sys; print({module!r} in sys.modules)"],
         env=CHILD_ENV, check=True, capture_output=True, text=True)
     return probe.stdout.strip() == "True"
 
@@ -332,7 +333,8 @@ def run(quick: bool = False) -> dict:
         "queries": len(graphs),
         "graph_nodes_mean": float(np.mean([g.num_nodes for g in graphs])),
         "deterministic": deterministic,
-        "serve_import_loads_scipy": _serve_imports_load_scipy(),
+        "serve_import_loads_numpy": _serve_imports_load("numpy"),
+        "serve_import_loads_scipy": _serve_imports_load("scipy"),
         # the first request went to a worker, its repeats stayed in the loop
         "daemon_memo_workers": [daemon.first["worker"],
                                 daemon.repeat["worker"]],
@@ -369,8 +371,9 @@ def _check(result: dict) -> None:
         "worker_cold_b1 requests must miss the feature and result caches"
     assert worker["code_cache_misses"] == result["queries"], \
         "worker_cold_b1: each unseen kernel's codes encoded exactly once"
-    assert not result["serve_import_loads_scipy"], \
-        "the daemon parent must not import scipy"
+    for module in ("numpy", "scipy"):
+        assert not result[f"serve_import_loads_{module}"], \
+            f"the daemon parent must not import {module}"
     first, repeat = result["daemon_memo_workers"]
     assert first is not None and repeat is None, \
         "daemon_memo repeats must be answered by the daemon loop"

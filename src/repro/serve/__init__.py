@@ -46,14 +46,20 @@ The serving subsystem takes a trained tuner from "in-memory object" to
 The names in ``__all__`` load lazily: ``from repro.serve import
 InferenceEngine`` imports :mod:`repro.serve.engine` and nothing else, and
 ``import repro.serve`` alone imports no submodule.  A process pays only for
-the subsystems it uses, which keeps the daemon's start-up short.
+the subsystems it uses, which keeps the daemon's start-up short and its
+parent small: the parent reads registry pointers, queues, memoizes and
+aggregates drift without numpy, and only its workers, after the fork,
+import numpy and the model they serve.  The typed requests and responses
+(``TuneRequest`` and the like) live in :mod:`repro.serve.protocol`, so a
+client needs no model stack either.
 """
 
 import importlib
 
 #: public name -> the submodule that defines it, imported on first access
 #: (PEP 562), so a process loads only the subsystems it uses: the daemon
-#: parent never imports the engine, the router or the search tuners
+#: parent never imports the engine, the router, the search tuners, numpy
+#: or the model stack
 _EXPORTS = {
     "ArtifactError": "artifacts",
     "save_artifact": "artifacts",
@@ -79,10 +85,10 @@ _EXPORTS = {
     "DaemonError": "client",
     "FaultPlan": "faults",
     "TuningService": "service",
-    "TuneRequest": "service",
-    "TuneResponse": "service",
-    "MapRequest": "service",
-    "MapResponse": "service",
+    "TuneRequest": "protocol",
+    "TuneResponse": "protocol",
+    "MapRequest": "protocol",
+    "MapResponse": "protocol",
     "CampaignRequest": "service",
     "CampaignResponse": "service",
 }

@@ -1,9 +1,10 @@
 """Client for the serving daemon's JSON-line socket protocol.
 
 :class:`DaemonClient` mirrors the :class:`~repro.serve.service.TuningService`
-request/response surface (``tune``/``map_device`` over the same dataclasses)
-so callers can swap the in-process service for a running daemon without
-touching request construction.  One client owns one connection and is safe
+request/response surface (``tune``/``map_device`` over the same dataclasses,
+defined in :mod:`repro.serve.protocol`, so the client loads no numpy or
+model stack) so callers can swap the in-process service for a running
+daemon without touching request construction.  One client owns one connection and is safe
 to share across threads (calls are serialised); open one client per thread
 for closed-loop load generation.
 
@@ -35,14 +36,12 @@ from typing import Any, Dict, Optional
 from repro.serve.protocol import (
     ERR_OVERLOADED,
     LineChannel,
-    connect_address,
-    session_to_wire,
-)
-from repro.serve.service import (
     MapRequest,
     MapResponse,
     TuneRequest,
     TuneResponse,
+    connect_address,
+    session_to_wire,
 )
 
 

@@ -23,6 +23,12 @@ request lines a client sent or takes one worker message; then idle workers
 get batches until :meth:`ServeDaemon._form_batch_locked` has none left.  A
 worker is idle only after its ``ready``, never while it is still loading.
 
+The parent process imports neither numpy nor the model stack: it parses,
+queues, memoizes, reads registry pointers and merges drift counters in
+plain Python.  Each worker imports the registry and the service after the
+fork, so numpy and its BLAS start up in the worker, never across a fork,
+and a replacement worker pays those imports itself before its ``ready``.
+
 The request queue is bounded: beyond ``max_queue`` waiting requests new
 work is *shed* with a structured ``overloaded`` error.  A worker's death is
 EOF on its pipe: its requests are retried once on another worker (the

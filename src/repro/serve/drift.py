@@ -31,16 +31,17 @@ from __future__ import annotations
 
 import dataclasses
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graphs.vocab import GraphVocabulary
+# the route-level merge needs no numpy, so it lives in the daemon parent's
+# lifecycle module; it stays importable from here
+from repro.serve.lifecycle import DEFAULT_THRESHOLD, merge_route_drift  # noqa: F401
 
 #: quantile fractions of the sketch: deciles, so 10 equal-mass bands
 FRACTIONS: Tuple[float, ...] = tuple(np.linspace(0.0, 1.0, 11))
-#: default flag threshold on a request's drift score
-DEFAULT_THRESHOLD = 0.05
 
 TASK_TUNE = "tune"
 TASK_MAP = "map"
@@ -301,28 +302,3 @@ class DriftMonitor:
         summary["band_tvd"] = self.band_tvd()
         summary["mean_score"] = (summary["score_sum"] / count) if count else 0.0
         return summary
-
-
-def merge_route_drift(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Combine per-worker cumulative summaries into one route-level view."""
-    count = sum(int(s.get("count", 0)) for s in snapshots)
-    flagged = sum(int(s.get("flagged", 0)) for s in snapshots)
-    score_sum = sum(float(s.get("score_sum", 0.0)) for s in snapshots)
-    oob_sum = sum(float(s.get("oob_sum", 0.0)) for s in snapshots)
-    token_sum = sum(float(s.get("token_sum", 0.0)) for s in snapshots)
-    gauges = [s for s in snapshots if int(s.get("count", 0))]
-    threshold = max((float(s.get("threshold", DEFAULT_THRESHOLD))
-                     for s in snapshots), default=DEFAULT_THRESHOLD)
-    mean_score = (score_sum / count) if count else 0.0
-    return {
-        "count": count,
-        "flagged": flagged,
-        "flagged_rate": (flagged / count) if count else 0.0,
-        "mean_score": mean_score,
-        "mean_oob": (oob_sum / count) if count else 0.0,
-        "mean_unseen_tokens": (token_sum / count) if count else 0.0,
-        "band_tvd": (float(np.mean([s.get("band_tvd", 0.0) for s in gauges]))
-                     if gauges else 0.0),
-        "threshold": threshold,
-        "drifting": count > 0 and mean_score >= threshold,
-    }

@@ -211,5 +211,11 @@ def active() -> Optional[FaultInjector]:
     return _ACTIVE
 
 
+def restore(injector: Optional[FaultInjector]) -> None:
+    """Reinstate ``injector``, which :func:`active` returned earlier."""
+    global _ACTIVE
+    _ACTIVE = injector
+
+
 def uninstall() -> None:
     install(None)

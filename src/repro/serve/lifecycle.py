@@ -44,8 +44,6 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.serve.drift import merge_route_drift
-
 #: comparisons a shadow diff remembers verbatim (the newest disagreements)
 RECENT_DISAGREEMENTS = 20
 
@@ -480,6 +478,38 @@ class LifecycleManager:
         with self._lock:
             return {model: dict(snapshot)
                     for model, snapshot in self._finished_shadows.items()}
+
+
+#: default flag threshold on a request's drift score (see
+#: :mod:`repro.serve.drift`)
+DEFAULT_THRESHOLD = 0.05
+
+
+def merge_route_drift(snapshots: List[Dict[str, Any]]) -> Dict[str, Any]:
+    """Combine per-worker cumulative summaries into one route-level view."""
+    count = sum(int(s.get("count", 0)) for s in snapshots)
+    flagged = sum(int(s.get("flagged", 0)) for s in snapshots)
+    score_sum = sum(float(s.get("score_sum", 0.0)) for s in snapshots)
+    oob_sum = sum(float(s.get("oob_sum", 0.0)) for s in snapshots)
+    token_sum = sum(float(s.get("token_sum", 0.0)) for s in snapshots)
+    gauges = [s for s in snapshots if int(s.get("count", 0))]
+    threshold = max((float(s.get("threshold", DEFAULT_THRESHOLD))
+                     for s in snapshots), default=DEFAULT_THRESHOLD)
+    mean_score = (score_sum / count) if count else 0.0
+    return {
+        "count": count,
+        "flagged": flagged,
+        "flagged_rate": (flagged / count) if count else 0.0,
+        "mean_score": mean_score,
+        "mean_oob": (oob_sum / count) if count else 0.0,
+        "mean_unseen_tokens": (token_sum / count) if count else 0.0,
+        # sum / len gives np.mean's bits for fewer than 8 gauges (one per
+        # worker or retired engine) and keeps numpy out of the daemon parent
+        "band_tvd": (sum(float(s.get("band_tvd", 0.0)) for s in gauges)
+                     / len(gauges) if gauges else 0.0),
+        "threshold": threshold,
+        "drifting": count > 0 and mean_score >= threshold,
+    }
 
 
 class DriftAggregator:

@@ -51,6 +51,7 @@ request instead of queueing it; back off and retry) and ``worker_crashed``
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import json
 import os
@@ -413,6 +414,62 @@ class FrontEnd:
         with self._wake_lock:
             for end in self._wakeup:
                 end.close()
+
+
+# ----------------------------------------------------------------------
+# typed tune/map requests and responses, shared by the in-process
+# TuningService and the DaemonClient (importing them loads no model stack)
+# ----------------------------------------------------------------------
+@dataclasses.dataclass(frozen=True)
+class TuneRequest:
+    """One OpenMP tuning request.
+
+    At most one of ``scale`` / ``target_bytes`` sizes the input (setting both
+    is rejected; neither means ``scale=1.0``).  With ``target_bytes`` the
+    scale solving the kernel's working-set equation is used (the natural
+    remote-caller interface: "this kernel at 32 MB").
+    """
+
+    model: str
+    kernel: str                       # kernel uid, e.g. "polybench/gemm"
+    scale: Optional[float] = None
+    target_bytes: Optional[float] = None
+    version: Optional[int] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class TuneResponse:
+    model: str
+    version: int
+    kernel: str
+    scale: float
+    config_label: str                 # e.g. "t8/static/cauto"
+    num_threads: int
+    schedule: str
+    chunk_size: Optional[int]
+    counters: Dict[str, float]
+    latency_ms: float
+
+
+@dataclasses.dataclass(frozen=True)
+class MapRequest:
+    """One OpenCL CPU/GPU device-mapping request."""
+
+    model: str
+    kernel: str
+    transfer_bytes: float
+    wgsize: int
+    version: Optional[int] = None
+
+
+@dataclasses.dataclass(frozen=True)
+class MapResponse:
+    model: str
+    version: int
+    kernel: str
+    device: str                       # "cpu" | "gpu"
+    label: int
+    latency_ms: float
 
 
 # ----------------------------------------------------------------------

@@ -25,6 +25,12 @@ A publish may carry a :class:`~repro.serve.drift.DriftBaseline` sketched from
 the training set; it is staged *inside* the version directory (subdir
 ``drift_baseline/``) before the rename, so model weights and their training
 distribution appear atomically together.
+
+Only the methods that read or write an artifact (``publish``, ``load``,
+``load_drift_baseline``, ``info`` and ``describe``) import
+:mod:`repro.serve.artifacts`, and with it numpy and the model stack.  The
+pointer reads a serving daemon's parent process makes (``generation``,
+``latest``, ``versions`` and ``list_models``) touch files only.
 """
 
 from __future__ import annotations
@@ -35,15 +41,6 @@ import re
 import shutil
 import threading
 from typing import Any, Dict, List, Optional, Union
-
-from repro.serve.artifacts import (
-    KIND_DRIFT,
-    ArtifactError,
-    load_artifact,
-    read_manifest,
-    save_artifact,
-    write_artifact_dir,
-)
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]*$")
 _VERSION_RE = re.compile(r"^v(\d{4,})$")
@@ -58,6 +55,13 @@ def _write_atomic(path: str, text: str) -> None:
     with open(staged, "w", encoding="utf-8") as fh:
         fh.write(text)
     os.replace(staged, path)
+
+
+def save_artifact(path: str, obj, metadata=None):
+    """:func:`repro.serve.artifacts.save_artifact`, imported on first use."""
+    from repro.serve.artifacts import save_artifact as save
+
+    return save(path, obj, metadata=metadata)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,6 +110,12 @@ class ModelRegistry:
         watchers that observe the new stamp are guaranteed to also see
         the complete version directory and ``LATEST`` pointer.
         """
+        from repro.serve.artifacts import (
+            KIND_DRIFT,
+            read_manifest,
+            write_artifact_dir,
+        )
+
         model_dir = self._model_dir(name)
         with self._lock:
             os.makedirs(model_dir, exist_ok=True)
@@ -210,11 +220,15 @@ class ModelRegistry:
 
     def load(self, name: str, version: Optional[int] = None):
         """Deserialise a published version (default: the latest)."""
+        from repro.serve.artifacts import load_artifact
+
         return load_artifact(self._resolve(name, version))
 
     def load_drift_baseline(self, name: str,
                             version: Optional[int] = None):
         """The version's published drift sketch, or None if it has none."""
+        from repro.serve.artifacts import load_artifact
+
         path = os.path.join(self._resolve(name, version), DRIFT_DIR)
         if not os.path.exists(os.path.join(path, "manifest.json")):
             return None
@@ -222,6 +236,8 @@ class ModelRegistry:
 
     def info(self, name: str, version: Optional[int] = None) -> Dict[str, Any]:
         """The stored manifest of a published version (no array I/O)."""
+        from repro.serve.artifacts import read_manifest
+
         path = self._resolve(name, version)
         manifest = read_manifest(path)
         manifest["path"] = path
@@ -229,6 +245,8 @@ class ModelRegistry:
 
     def describe(self) -> List[ModelVersion]:
         """One :class:`ModelVersion` per published version, for listings."""
+        from repro.serve.artifacts import ArtifactError, read_manifest
+
         entries = []
         for name in self.list_models():
             for version in self.versions(name):

@@ -19,39 +19,14 @@ from typing import Any, Dict, Optional, Tuple
 from repro.core.tuner import DeviceMapper, MGATuner
 from repro.kernels import registry as kernel_registry
 from repro.serve.engine import InferenceEngine
+from repro.serve.protocol import (
+    MapRequest,
+    MapResponse,
+    TuneRequest,
+    TuneResponse,
+)
 from repro.serve.registry import ModelRegistry
 from repro.simulator.microarch import get_microarch
-
-
-@dataclasses.dataclass(frozen=True)
-class TuneRequest:
-    """One OpenMP tuning request.
-
-    At most one of ``scale`` / ``target_bytes`` sizes the input (setting both
-    is rejected; neither means ``scale=1.0``).  With ``target_bytes`` the
-    scale solving the kernel's working-set equation is used (the natural
-    remote-caller interface: "this kernel at 32 MB").
-    """
-
-    model: str
-    kernel: str                       # kernel uid, e.g. "polybench/gemm"
-    scale: Optional[float] = None
-    target_bytes: Optional[float] = None
-    version: Optional[int] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class TuneResponse:
-    model: str
-    version: int
-    kernel: str
-    scale: float
-    config_label: str                 # e.g. "t8/static/cauto"
-    num_threads: int
-    schedule: str
-    chunk_size: Optional[int]
-    counters: Dict[str, float]
-    latency_ms: float
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,27 +71,6 @@ class CampaignResponse:
     wall_seconds: float
     checkpoint: Optional[str]
     finished: bool
-
-
-@dataclasses.dataclass(frozen=True)
-class MapRequest:
-    """One OpenCL CPU/GPU device-mapping request."""
-
-    model: str
-    kernel: str
-    transfer_bytes: float
-    wgsize: int
-    version: Optional[int] = None
-
-
-@dataclasses.dataclass(frozen=True)
-class MapResponse:
-    model: str
-    version: int
-    kernel: str
-    device: str                       # "cpu" | "gpu"
-    label: int
-    latency_ms: float
 
 
 # ----------------------------------------------------------------------

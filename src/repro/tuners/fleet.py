@@ -523,7 +523,8 @@ class CampaignWorker:
 
     A worker is stateless and crash-cheap: everything it holds is leased
     and expires.  ``fault_plan`` (or the ``REPRO_FAULTS`` environment)
-    installs a :class:`~repro.serve.faults.FaultPlan` for chaos testing.
+    installs a :class:`~repro.serve.faults.FaultPlan` for chaos testing;
+    :meth:`run` reinstates the injector that was active before it.
     """
 
     def __init__(self, address: str, worker_id: Optional[str] = None,
@@ -549,14 +550,15 @@ class CampaignWorker:
         """
         from repro.serve.client import DaemonClient
 
-        if self.fault_plan is not None:
-            faults.install(self.fault_plan, self.fault_seed_offset)
-        injector = faults.active()
         client = DaemonClient(self.address, timeout=self.request_timeout,
                               retries=self.retries,
                               backoff_base=self.backoff_base)
         beat_client = DaemonClient(self.address,
                                    timeout=self.request_timeout)
+        previous = faults.active()
+        if self.fault_plan is not None:
+            faults.install(self.fault_plan, self.fault_seed_offset)
+        injector = faults.active()
         leases = 0
         evaluations = 0
         objective = None
@@ -583,6 +585,10 @@ class CampaignWorker:
         finally:
             client.close()
             beat_client.close()
+            if self.fault_plan is not None:
+                # the plan is this run's: later runs in the process and a
+                # coordinator serving from it see the injector from before
+                faults.restore(previous)
         return {"worker": self.worker_id, "leases": leases,
                 "evaluations": evaluations}
 

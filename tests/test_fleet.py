@@ -17,11 +17,13 @@ import uuid
 import numpy as np
 import pytest
 
+from repro.serve import faults
 from repro.serve.client import DaemonClient, DaemonError
 from repro.serve.faults import FaultInjector, FaultPlan
 from repro.serve.protocol import (
     LineChannel,
     ProtocolError,
+    close_listener,
     create_listener,
     error_response,
     objective_from_wire,
@@ -205,6 +207,32 @@ class TestFleetCampaign:
         assert stats["local_evaluations"] == 0
         assert stats["submissions"]["accepted"] == len(serial_history)
         assert stats["workers"]["seen"] == 2
+
+    def test_worker_fault_plan_ends_with_its_run(self, space,
+                                                 serial_history):
+        """An in-process worker's fault plan lasts as long as its run:
+        afterwards the process has the injector it had before."""
+        before = faults.install(FaultPlan(delay_ms=1.0, seed=3))
+        try:
+            campaign = _fresh_campaign(space)
+            with CampaignCoordinator(campaign, _socket_path(),
+                                     local_fallback_s=None) as coordinator:
+                done = {}
+                runner = threading.Thread(
+                    target=lambda: done.setdefault("r", coordinator.run()),
+                    daemon=True)
+                runner.start()
+                worker = CampaignWorker(
+                    coordinator.address, worker_id="faulty", max_configs=3,
+                    fault_plan=FaultPlan(delay_ms=2.0, seed=4))
+                summary = worker.run()
+                runner.join(timeout=30)
+            assert not runner.is_alive()
+            assert done["r"].history == serial_history
+            assert summary["evaluations"] >= len(serial_history)
+            assert faults.active() is before
+        finally:
+            faults.uninstall()
 
     def test_elastic_join_and_leave_mid_campaign(self, space, serial_history):
         """Workers arriving after the run starts and leaving before it ends
@@ -509,58 +537,76 @@ class TestClientRetry:
 
     def test_connect_retry_waits_for_listener(self):
         path = _socket_path()
+        bound = []
 
         def bind_late():
             time.sleep(0.4)
             listener, _ = create_listener(path)
+            bound.append(listener)
             _fake_server(listener, [
                 lambda req: ok_response(req["id"], {"pong": True})])
 
         threading.Thread(target=bind_late, daemon=True).start()
         client = DaemonClient(path, retries=12, backoff_base=0.05)
-        assert client.ping(timeout=5.0)
-        client.close()
+        try:
+            assert client.ping(timeout=5.0)
+        finally:
+            client.close()
+            for listener in bound:
+                close_listener(listener, path)
 
     def test_overloaded_shed_is_retried(self):
         path = _socket_path()
         listener, _ = create_listener(path)
-        seen, _ = _fake_server(listener, [
-            lambda req: error_response(req["id"], "overloaded", "shed"),
-            lambda req: ok_response(req["id"], {"pong": True}),
-        ])
-        client = DaemonClient(path, retries=3, backoff_base=0.01)
-        assert client.ping(timeout=5.0)
-        assert len(seen) == 2
-        client.close()
+        try:
+            seen, _ = _fake_server(listener, [
+                lambda req: error_response(req["id"], "overloaded", "shed"),
+                lambda req: ok_response(req["id"], {"pong": True}),
+            ])
+            client = DaemonClient(path, retries=3, backoff_base=0.01)
+            assert client.ping(timeout=5.0)
+            assert len(seen) == 2
+            client.close()
+        finally:
+            close_listener(listener, path)
 
     def test_overloaded_without_retries_raises(self):
         path = _socket_path()
         listener, _ = create_listener(path)
-        _fake_server(listener, [
-            lambda req: error_response(req["id"], "overloaded", "shed")])
-        client = DaemonClient(path)
-        with pytest.raises(DaemonError) as excinfo:
-            client.ping(timeout=5.0)
-        assert excinfo.value.overloaded
-        client.close()
+        try:
+            _fake_server(listener, [
+                lambda req: error_response(req["id"], "overloaded", "shed")])
+            client = DaemonClient(path)
+            with pytest.raises(DaemonError) as excinfo:
+                client.ping(timeout=5.0)
+            assert excinfo.value.overloaded
+            client.close()
+        finally:
+            close_listener(listener, path)
 
     def test_midrequest_break_is_never_retried(self):
         path = _socket_path()
         listener, _ = create_listener(path)
-        seen, _ = _fake_server(listener, [lambda req: None])  # read, hang up
-        client = DaemonClient(path, retries=5, backoff_base=0.01)
-        with pytest.raises((ConnectionError, OSError)):
-            client.request({"op": "ping"}, timeout=5.0)
-        assert len(seen) == 1       # the request was not resent
-        client.close()
+        try:
+            seen, _ = _fake_server(listener, [lambda req: None])  # read, hang up
+            client = DaemonClient(path, retries=5, backoff_base=0.01)
+            with pytest.raises((ConnectionError, OSError)):
+                client.request({"op": "ping"}, timeout=5.0)
+            assert len(seen) == 1       # the request was not resent
+            client.close()
+        finally:
+            close_listener(listener, path)
 
     def test_non_overloaded_errors_are_not_retried(self):
         path = _socket_path()
         listener, _ = create_listener(path)
-        seen, _ = _fake_server(listener, [
-            lambda req: error_response(req["id"], "bad_request", "nope")])
-        client = DaemonClient(path, retries=5, backoff_base=0.01)
-        with pytest.raises(DaemonError):
-            client.request({"op": "ping"}, timeout=5.0)
-        assert len(seen) == 1
-        client.close()
+        try:
+            seen, _ = _fake_server(listener, [
+                lambda req: error_response(req["id"], "bad_request", "nope")])
+            client = DaemonClient(path, retries=5, backoff_base=0.01)
+            with pytest.raises(DaemonError):
+                client.request({"op": "ping"}, timeout=5.0)
+            assert len(seen) == 1
+            client.close()
+        finally:
+            close_listener(listener, path)

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import threading
 import time
@@ -37,6 +39,7 @@ from repro.serve.drift import (
     token_ids_from_graph,
     tune_feature_vector,
 )
+from repro.serve.service import tune_response_fields
 from repro.simulator.microarch import COMET_LAKE_8C
 import repro.serve.registry as registry_module
 
@@ -914,3 +917,71 @@ class TestLoopMemo:
         assert stats["requests"]["memo_hits"] == 0
         assert stats["memo"]["entries"] == 0
         assert stats["batches"]["count"] == 3
+
+
+class TestDaemonParentImports:
+    """The daemon parent parses, queues, memoizes, aggregates and swaps;
+    only its workers import numpy and the model stack."""
+
+    def test_parent_serves_and_swaps_without_the_model_stack(
+            self, tmp_path, tuner_pair, small_openmp_dataset):
+        registry = _two_version_registry(tmp_path, tuner_pair,
+                                         small_openmp_dataset)
+        cold = REQUEST_GRID + [("polybench/gemm", 3.0)]
+        swapped = ("polybench/atax", 4.0)
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = f"""
+import json, os, sys, tempfile
+from repro.serve.client import DaemonClient
+from repro.serve.daemon import ServeDaemon
+
+def tune(client, uid, scale):
+    return client.request({{"op": "tune", "model": "m", "kernel": uid,
+                           "scale": scale}})
+
+with tempfile.TemporaryDirectory(prefix="repro-lc-") as work:
+    path = os.path.join(work, "d.sock")
+    with ServeDaemon(path, registry_root={str(tmp_path)!r}, workers=2,
+                     preload=["m"]):
+        with DaemonClient(path) as client:
+            client.swap("m", version=1)
+            cold = [tune(client, uid, scale) for uid, scale in {cold!r}]
+            repeat = tune(client, *{cold[0]!r})
+            stats = client.stats()
+            client.swap("m", version=2)
+            after = tune(client, *{swapped!r})
+print(json.dumps({{
+    "cold": cold, "repeat": repeat, "after": after,
+    "memo_hits": stats["requests"]["memo_hits"],
+    "loaded": [name for name in ("numpy", "repro.core", "repro.nn",
+                                 "repro.serve.artifacts")
+               if name in sys.modules],
+}}))
+"""
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, env=env,
+                               timeout=180)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout)
+        assert report["loaded"] == []
+        assert report["memo_hits"] == 1
+        assert report["repeat"]["worker"] is None
+        assert all(isinstance(r["worker"], int) for r in report["cold"])
+
+        def expected(version, requests):
+            answers = []
+            with InferenceEngine(registry.load("m", version)) as engine:
+                for uid, scale in requests:
+                    config, counters = engine.tune(
+                        kernel_registry.get_kernel(uid), scale)
+                    answers.append(json.dumps(tune_response_fields(
+                        "m", version, uid, scale, config, counters),
+                        sort_keys=True))
+            return answers
+
+        assert [_answer(r) for r in report["cold"]] == expected(1, cold)
+        assert _answer(report["repeat"]) == expected(1, cold[:1])[0]
+        assert _answer(report["after"]) == expected(2, [swapped])[0]

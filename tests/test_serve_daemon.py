@@ -534,6 +534,38 @@ print(json.dumps({{
         assert child.returncode == 0, child.stderr
         assert json.loads(child.stdout) == []
 
+    def test_client_router_and_daemon_leave_out_the_model_stack(self):
+        """A process that runs a daemon parent, a router and a client and
+        moves requests through them loads no numpy and no model."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = f"""
+import json, sys
+from repro.serve.client import DaemonClient
+from repro.serve.daemon import ServeDaemon
+from repro.serve.router import ServeRouter
+
+with ServeDaemon({_socket_path()!r}, workers=1) as daemon:
+    with ServeRouter({_socket_path()!r}, replicas=[daemon.address],
+                     probe_interval=0.05) as router:
+        with DaemonClient(router.address) as client:
+            pong = client.ping(timeout=10.0)
+            stats = client.stats()
+print(json.dumps({{
+    "pong": pong, "replicas": len(stats["replicas"]),
+    "loaded": [name for name in ("numpy", "repro.core", "repro.nn")
+               if name in sys.modules],
+}}))
+"""
+        child = subprocess.run([sys.executable, "-c", script],
+                               capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == {"pong": True, "replicas": 1,
+                                            "loaded": []}
+
     def test_cli_reports_artifact_errors(self, tmp_path, capsys):
         from repro.serve.cli import main
 
