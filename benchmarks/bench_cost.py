@@ -36,7 +36,9 @@ predict costs:
   unix-socket connection: user plus system CPU time summed over the daemon
   and its workers, read from ``/proc/<pid>/stat``.  The daemon answers a
   repeat from its loop's memo, so this is the daemon's share of the hot
-  path: socket reads, request parsing, the memo lookup and the reply.
+  path: socket reads, request parsing, the memo lookup and the reply, which
+  splices the memoized answer's encoded bytes with the request's id,
+  latency, worker and batch instead of encoding the answer again.
   ``/proc`` counts in clock ticks (10 ms), so each block sends enough
   requests to span 20 or more.
 

@@ -7,8 +7,6 @@ import os
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
-import numpy as np
-
 from repro.frontend.analysis import WorkloadSummary
 from repro.frontend.openmp import OMPConfig, default_omp_config
 from repro.frontend.spec import KernelSpec
@@ -115,7 +113,8 @@ class PAPIProfiler:
         result = self.simulator.run(spec, config, scale=scale,
                                     rng=self._draws)
         counters = {e: result.counters[e] for e in events}
-        runs_needed = int(np.ceil(len(events) / COUNTERS_PER_RUN))
+        runs_needed = ((len(events) + COUNTERS_PER_RUN - 1)
+                       // COUNTERS_PER_RUN)
         if self.walltime_scale > 0.0:
             # occupy (a scaled share of) the simulated execution time: the
             # profiling runs of a real deployment block on the kernel

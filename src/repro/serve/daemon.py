@@ -19,9 +19,10 @@ in-process :class:`~repro.serve.engine.InferenceEngine`:
 One thread, ``repro-daemon-loop``, drives them: a :mod:`selectors` loop
 over the listening socket, the client sockets and one duplex
 :func:`multiprocessing.Pipe` per worker.  Each event admits the complete
-request lines a client sent or takes one worker message; then idle workers
-get batches until :meth:`ServeDaemon._form_batch_locked` has none left.  A
-worker is idle only after its ``ready``, never while it is still loading.
+request lines a client sent or takes one worker message; then, if any
+request waits, idle workers get batches until
+:meth:`ServeDaemon._form_batch_locked` has none left.  A worker is idle only
+after its ``ready``, never while it is still loading.
 
 The parent process imports neither numpy nor the model stack: it parses,
 queues, memoizes, reads registry pointers and merges drift counters in
@@ -44,12 +45,17 @@ same published artifact.
 Repeats never leave the loop: an answer is a pure function of the request's
 fields and the artifact version, so the loop keeps the worker answers of
 live ``tune``/``map`` requests in an LRU memo bounded by ``cache_size``,
-keyed on ``(fields, version)``.  A latest-route request takes its version
-from the lifecycle at receive time, as a batch of one dispatched at that
-instant would, so a swap still lands between answers.  A hit is answered at
-once, without queueing or a worker: it counts as completed, but not as a
-batch.  Its reply reads ``worker: null`` and a ``batch`` id of its own, so
-grouping answers by ``(worker, batch)`` never merges two of them.  Each
+keyed on ``(fields, version)``.  The memo holds each answer encoded: the
+loop encodes a live answer once, when it first replies with it, and every
+reply, fresh or memoized, splices those bytes with the request's ``id``,
+``latency_ms``, ``worker`` and ``batch``
+(:func:`~repro.serve.protocol.ok_frame`), so a hit copies no dict and
+encodes no answer.  A latest-route request takes its version from the
+lifecycle at receive time, as a batch of one dispatched at that instant
+would, so a swap still lands between answers.  A hit is answered at once,
+without queueing or a worker: it counts as completed, but not as a batch.
+Its reply reads ``worker: null`` and a ``batch`` id of its own, so grouping
+answers by ``(worker, batch)`` never merges two of them.  Each
 path keeps one response memo: daemon workers build their engines with
 ``memoize_results=False``, while in-process serving keeps the engine's.
 
@@ -71,6 +77,7 @@ from __future__ import annotations
 
 import collections
 import itertools
+import json
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -101,8 +108,10 @@ from repro.serve.protocol import (
     ProtocolError,
     close_listener,
     create_listener,
+    encode_body,
     error_response,
     format_address,
+    ok_frame,
     ok_response,
     parse_address,
     percentile,
@@ -373,29 +382,32 @@ def _worker_main(worker_id: int, registry_root: Optional[str],
 #: the request fields that pick a ``tune``/``map`` answer, with the version
 _MEMO_FIELDS = ("op", "model", "kernel", "scale", "target_bytes",
                 "transfer_bytes", "wgsize")
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_JSON_SCALARS = frozenset((str, int, float, bool, type(None)))
 
 
 def _memo_fields(document: Dict[str, Any]) -> Optional[tuple]:
     """The version-less memo key of a ``tune``/``map`` request, or ``None``
     when a field is not a hashable JSON scalar (the worker then answers,
     and rejects it as usual)."""
-    fields = tuple(document.get(name) for name in _MEMO_FIELDS)
-    if all(type(value) in _JSON_SCALARS for value in fields):
+    fields = tuple(map(document.get, _MEMO_FIELDS))
+    if _JSON_SCALARS.issuperset(map(type, fields)):
         return fields
     return None
 
 
 class _PendingRequest:
-    __slots__ = ("request_id", "op", "payload", "reply", "enqueued_at",
-                 "attempts", "route", "stalled", "memo_fields")
+    __slots__ = ("request_id", "op", "payload", "reply", "reply_frame",
+                 "enqueued_at", "attempts", "route", "stalled", "memo_fields")
 
     def __init__(self, request_id, op, payload, reply, route,
-                 memo_fields=None):
+                 memo_fields=None, reply_frame=None):
         self.request_id = request_id
         self.op = op
         self.payload = payload
+        #: answers with a document; a live request's ``reply_frame`` sends
+        #: a frame that is already encoded
         self.reply = reply
+        self.reply_frame = reply_frame
         self.enqueued_at = time.perf_counter()
         self.attempts = 0
         self.route = route
@@ -518,9 +530,9 @@ class ServeDaemon:
         self._latencies: "collections.deque[float]" = \
             collections.deque(maxlen=4096)
         self._per_model: Dict[str, int] = {}
-        #: answers of live tune/map requests, keyed ``(memo_fields,
-        #: version)``; only touched under ``_lock``
-        self._memo: "collections.OrderedDict[tuple, Dict[str, Any]]" = \
+        #: encoded answers (``encode_body``) of live tune/map requests,
+        #: keyed ``(memo_fields, version)``; only touched under ``_lock``
+        self._memo: "collections.OrderedDict[tuple, bytes]" = \
             collections.OrderedDict()
         self._memo_capacity = int(cache_size)
         self._memo_hits = 0
@@ -803,6 +815,9 @@ class ServeDaemon:
     def _dispatch(self) -> bool:
         """Hand batches to idle workers; True once a drain has finished."""
         with self._lock:
+            if not self._routes and not self._shadow_routes:
+                # nothing waits: no batch to form, so no worker to check
+                return self._draining and not self._inflight
             while (assignment := self._form_batch_locked()) is not None:
                 worker, batch_id, _, payloads = assignment
                 self._send_locked(worker, ("batch", batch_id, payloads))
@@ -868,7 +883,8 @@ class ServeDaemon:
         fields = (_memo_fields(document) if op in ("tune", "map")
                   and self._lifecycle is not None else None)
         request = _PendingRequest(request_id, op, document, reply,
-                                  self._route_of(document, op), fields)
+                                  self._route_of(document, op), fields,
+                                  client.reply_frame)
         if fields is not None and self._answer_from_memo(request):
             return
         self._admit(request)
@@ -885,8 +901,8 @@ class ServeDaemon:
                 return False
         key = (request.memo_fields, version)
         with self._lock:
-            answer = self._memo.get(key)
-            if answer is None or self._draining or not self._running:
+            body = self._memo.get(key)
+            if body is None or self._draining or not self._running:
                 return False
             self._memo.move_to_end(key)
             batch_id = self._next_batch_id
@@ -897,10 +913,9 @@ class ServeDaemon:
             self._latencies.append(latency_ms)
             model = request.route[1]
             self._per_model[model] = self._per_model.get(model, 0) + 1
-        result = dict(answer, latency_ms=latency_ms, worker=None,
-                      batch=batch_id)
-        request.reply(ok_response(request.request_id, result))
-        self._maybe_tee_shadow(request, result)
+        request.reply_frame(ok_frame(request.request_id, body, latency_ms,
+                                     None, batch_id))
+        self._maybe_tee_shadow(request, version, body)
         return True
 
     def _handle_admin(self, request_id, op: str, document: Dict[str, Any],
@@ -1071,9 +1086,13 @@ class ServeDaemon:
         for label, snapshot in (extras.get("drift") or {}).items():
             self._drift.update(worker.worker_id, label, snapshot)
         now = time.perf_counter()
+        # only this loop thread changes the shadow batch ids; a live answer
+        # is encoded once, here, for its reply and the memo
+        shadow = batch_id in self._shadow_batch_ids
+        bodies = [None if shadow or not outcome.get("ok")
+                  else encode_body(outcome["result"]) for outcome in results]
         with self._lock:
             batch = self._inflight.pop(batch_id)
-            shadow = batch_id in self._shadow_batch_ids
             self._shadow_batch_ids.discard(batch_id)
             worker.busy_with = None
             # shadow answers only feed the diff report (their reply
@@ -1084,7 +1103,7 @@ class ServeDaemon:
             else:
                 self._batch_histogram[len(batch)] = \
                     self._batch_histogram.get(len(batch), 0) + 1
-                for request, outcome in zip(batch, results):
+                for request, outcome, body in zip(batch, results, bodies):
                     self._completed += 1
                     self._errors += int(not outcome.get("ok"))
                     self._latencies.append(1e3 * (now - request.enqueued_at))
@@ -1095,9 +1114,10 @@ class ServeDaemon:
                         self._per_model[model] = \
                             self._per_model.get(model, 0) + 1
                         if request.memo_fields is not None:
-                            self._remember_locked(request.memo_fields,
-                                                  outcome["result"])
-        for request, outcome in zip(batch, results):
+                            self._remember_locked(
+                                request.memo_fields,
+                                outcome["result"]["version"], body)
+        for request, outcome, body in zip(batch, results, bodies):
             if not outcome.get("ok"):
                 error = outcome.get("error") or {"code": ERR_INTERNAL,
                                                  "message": "worker returned "
@@ -1106,19 +1126,20 @@ class ServeDaemon:
                                              error.get("code", ERR_INTERNAL),
                                              error.get("message", "")))
                 continue
-            result = dict(outcome["result"])
-            if not shadow:
-                result["latency_ms"] = 1e3 * (now - request.enqueued_at)
-                result["worker"] = worker.worker_id
-                result["batch"] = batch_id
-            request.reply(ok_response(request.request_id, result))
-            if not shadow:
-                self._maybe_tee_shadow(request, result)
+            if shadow:
+                # a shadow answer feeds the diff report as a document
+                request.reply(ok_response(request.request_id,
+                                          outcome["result"]))
+                continue
+            request.reply_frame(ok_frame(
+                request.request_id, body, 1e3 * (now - request.enqueued_at),
+                worker.worker_id, batch_id))
+            self._maybe_tee_shadow(request, outcome["result"].get("version"),
+                                   body)
 
-    def _remember_locked(self, fields: tuple,
-                         answer: Dict[str, Any]) -> None:
-        """Memoize a live answer under the version that gave it."""
-        self._memo[(fields, answer["version"])] = answer
+    def _remember_locked(self, fields: tuple, version, body: bytes) -> None:
+        """Memoize an encoded live answer under the version that gave it."""
+        self._memo[(fields, version)] = body
         if len(self._memo) > self._memo_capacity:
             self._memo.popitem(last=False)
 
@@ -1161,14 +1182,17 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # shadow deploys: tee answered live requests to the candidate
     # ------------------------------------------------------------------
-    def _maybe_tee_shadow(self, request: _PendingRequest,
-                          result: Dict[str, Any]) -> None:
+    def _maybe_tee_shadow(self, request: _PendingRequest, version,
+                          body: bytes) -> None:
+        """Tee an answered live request to a sampled shadow candidate;
+        ``body`` is its encoded answer, decoded only for a tee."""
         if self._lifecycle is None or request.op not in ("tune", "map"):
             return
         model = request.payload.get("model")
         candidate = self._lifecycle.sample_shadow(model)
-        if candidate is None or candidate == result.get("version"):
+        if candidate is None or candidate == version:
             return
+        result = json.loads(body)
         lifecycle = self._lifecycle
         op = request.op
         primary = {key: result.get(key)

@@ -131,7 +131,7 @@ class _Request:
         self.kernel = kernel              # (uid, model): the code-cache key
         self.graph = graph
         self.vector = vector
-        self.extra = extra
+        self.extra = extra                # the extra-feature row, a tuple
         self.finalize = finalize          # index -> response value
         self.pending: Optional[PendingResult] = None
 
@@ -199,8 +199,8 @@ class InferenceEngine:
                 config=default_omp_config(tuner.arch.cores),
                 events=tuner.counter_names)
             graph, vector = tuner.extractor.extract(spec)
-            extra = xp.array([record.counters[name]
-                              for name in tuner.counter_names])
+            extra = tuple(record.counters[name]
+                          for name in tuner.counter_names)
             cached = (graph, vector, extra, dict(record.counters))
             self.cache.put(key, cached)
         return cached
@@ -253,8 +253,7 @@ class InferenceEngine:
             self.drift_monitor.observe(
                 map_feature_vector(vector, transfer_bytes, wgsize),
                 graph=graph)
-        extra = xp.array([xp.log1p(float(transfer_bytes)),
-                          xp.log1p(float(wgsize))])
+        extra = (xp.log1p(float(transfer_bytes)), xp.log1p(float(wgsize)))
 
         def finalize(index: int):
             if self.results is not None:
@@ -410,7 +409,7 @@ class InferenceEngine:
 
     def _predict(self, batch: List[_Request]) -> List[object]:
         """One ``MGAModel.predict`` over ``batch``: the finalized answers."""
-        extra = xp.stack([r.extra for r in batch])
+        extra = xp.array([r.extra for r in batch], dtype=xp.float64)
         indices = self.predictor.model.predict(
             None, None, extra, codes=self._static_codes(batch))
         return [request.finalize(int(index))
@@ -445,7 +444,7 @@ class InferenceEngine:
         with self._stats_lock:
             self._code_hits += len(batch) - len(encode)
             self._code_misses += len(encode)
-        return xp.stack([rows[r.kernel] for r in batch])
+        return xp.array([rows[r.kernel] for r in batch])
 
     def _count_batch(self, size: int, latency_sum: float) -> None:
         with self._stats_lock:

@@ -47,6 +47,12 @@ failure.  ``code`` is machine-actionable; the important ones are
 ``overloaded`` (the bounded request queue is full — the daemon *sheds* the
 request instead of queueing it; back off and retry) and ``worker_crashed``
 (a worker died mid-batch and the request exhausted its retry).
+
+Every frame is encoded by one shared :class:`json.JSONEncoder`.  The daemon
+encodes a ``tune``/``map`` answer once (:func:`encode_body`) and builds
+each reply carrying it by splicing bytes (:func:`ok_frame`), equal to
+encoding the whole reply; :meth:`LineChannel.send_frame` sends such a
+frame through the same fault-injection path as :meth:`LineChannel.send`.
 """
 
 from __future__ import annotations
@@ -54,6 +60,7 @@ from __future__ import annotations
 import dataclasses
 import errno
 import json
+import math
 import os
 import selectors
 import socket
@@ -225,15 +232,62 @@ class ProtocolError(Exception):
     """A malformed frame (bad JSON, missing fields, oversized line)."""
 
 
+#: the one encoder behind every frame (``json.dumps`` would build a new
+#: one per call); encoding keeps no state, so every thread may share it
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_frame(document: Dict[str, Any]) -> bytes:
     """One JSON document as one newline-terminated UTF-8 line."""
-    return (json.dumps(document, separators=(",", ":"))
-            + "\n").encode("utf-8")
+    return (_ENCODER.encode(document) + "\n").encode("utf-8")
+
+
+def encode_body(result: Dict[str, Any]) -> bytes:
+    """A result object's JSON, as :func:`ok_frame` splices it."""
+    return _ENCODER.encode(result).encode("utf-8")
+
+
+def _json_scalar(value) -> bytes:
+    """The JSON of one value; ints, finite floats and ``None`` skip the
+    encoder's set-up."""
+    kind = type(value)
+    if kind is int or (kind is float and math.isfinite(value)):
+        return repr(value).encode("ascii")
+    if value is None:
+        return b"null"
+    return encode_body(value)
+
+
+def ok_frame(request_id, body: bytes, latency_ms: float, worker,
+             batch) -> bytes:
+    """The ok reply to a ``tune``/``map`` request, spliced from bytes.
+
+    ``body`` is the :func:`encode_body` of a ``result`` that has none of
+    the keys ``latency_ms``, ``worker`` and ``batch``.  The frame is
+    byte for byte ``encode_frame(ok_response(request_id, dict(result,
+    latency_ms=latency_ms, worker=worker, batch=batch)))``, so an answer
+    encoded once can be sent any number of times without decoding it.
+    """
+    return (b'{"id":%b,"ok":true,"result":%b%b"latency_ms":%b,"worker":%b,'
+            b'"batch":%b}}\n' % (_json_scalar(request_id), body[:-1],
+                                 b"," if len(body) > 2 else b"",
+                                 _json_scalar(latency_ms),
+                                 _json_scalar(worker), _json_scalar(batch)))
+
+
+#: the one decoder behind every frame
+_DECODER = json.JSONDecoder()
 
 
 def decode_frame(line: bytes) -> Dict[str, Any]:
+    """The JSON object on one line, as ``json.loads`` reads it.  Trimming
+    JSON's own whitespace and decoding with :data:`_DECODER` skips the
+    regular-expression scans ``json.loads`` makes on every call."""
     try:
-        document = json.loads(line.decode("utf-8"))
+        text = line.decode("utf-8").strip(" \t\n\r")
+        document, end = _DECODER.raw_decode(text)
+        if end != len(text):
+            raise json.JSONDecodeError("Extra data", text, end)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable frame: {exc}") from exc
     if not isinstance(document, dict):
@@ -265,7 +319,11 @@ class LineChannel:
         self._buffer = b""
 
     def send(self, document: Dict[str, Any]) -> None:
-        frame = encode_frame(document)
+        self.send_frame(encode_frame(document))
+
+    def send_frame(self, frame: bytes) -> None:
+        """Write one encoded frame (from :func:`encode_frame` or
+        :func:`ok_frame`) whole."""
         injector = faults.active()
         if injector is None:
             self.sock.sendall(frame)
@@ -321,9 +379,13 @@ class ClientConnection(LineChannel):
         self.write_lock = threading.Lock()
 
     def reply(self, document: Dict[str, Any]) -> None:
+        self.reply_frame(encode_frame(document))
+
+    def reply_frame(self, frame: bytes) -> None:
+        """:meth:`reply` with a frame that is already encoded."""
         try:
             with self.write_lock:
-                self.send(document)
+                self.send_frame(frame)
         except OSError:
             pass                      # client went away; nothing to tell it
 

@@ -65,7 +65,8 @@ class NoiseDraws:
     every run, so that a run does not depend on the runs before it, would
     draw the same numbers every time: it draws them once, here, and passes
     them to :meth:`~OpenMPSimulator.run` as ``rng``.  ``rng`` is the
-    freshly seeded stream; the draws are taken from its start.
+    freshly seeded stream; the draws are taken from its start.  They are
+    kept as Python floats, so applying them needs no numpy scalar math.
     """
 
     __slots__ = ("time_factor", "jitter")
@@ -73,8 +74,8 @@ class NoiseDraws:
     def __init__(self, rng: np.random.Generator, noise: float,
                  counters: int):
         self.time_factor = float(np.exp(rng.normal(0.0, noise)))
-        self.jitter = np.exp(rng.normal(0.0, noise * 2.0, size=counters))
-        self.jitter.flags.writeable = False
+        self.jitter = tuple(np.exp(rng.normal(0.0, noise * 2.0,
+                                              size=counters)).tolist())
 
 
 class OpenMPSimulator:

@@ -1,5 +1,9 @@
 """Shared fixtures: small kernels, datasets and feature extractors."""
 
+import os
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
 
@@ -53,3 +57,24 @@ def small_openmp_dataset(small_specs, extractor):
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(1234)
+
+
+#: directories made by :func:`short_socket_path`, removed at session end
+_SOCKET_DIRS = []
+
+
+def short_socket_path(prefix: str) -> str:
+    """A socket path in a fresh directory of its own under the temp dir.
+
+    AF_UNIX paths are length-limited (~107 bytes), so the path stays in
+    ``/tmp`` rather than pytest's deeper ``tmp_path``.  Every such
+    directory is removed when the test session ends.
+    """
+    directory = tempfile.mkdtemp(prefix=prefix)
+    _SOCKET_DIRS.append(directory)
+    return os.path.join(directory, "d.sock")
+
+
+def pytest_sessionfinish(session, exitstatus):
+    while _SOCKET_DIRS:
+        shutil.rmtree(_SOCKET_DIRS.pop(), ignore_errors=True)

@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tempfile
 import threading
 import time
 import types
@@ -27,7 +26,7 @@ from repro.serve import (
     ServeRouter,
     TuningService,
 )
-from repro.serve.daemon import _execute_tune_map
+from repro.serve.daemon import _Worker, _execute_tune_map
 from repro.serve.lifecycle import DriftAggregator, LifecycleManager, SwapError
 from repro.serve.drift import (
     FRACTIONS,
@@ -43,13 +42,14 @@ from repro.serve.service import tune_response_fields
 from repro.simulator.microarch import COMET_LAKE_8C
 import repro.serve.registry as registry_module
 
+from conftest import short_socket_path
+
 TRAIN_KW = dict(gnn_hidden=12, gnn_out=12, dae_hidden=24, dae_code=8,
                 mlp_hidden=16)
 
 
 def _socket_path() -> str:
-    # AF_UNIX paths are length-limited (~107 bytes); stay in /tmp
-    return os.path.join(tempfile.mkdtemp(prefix="repro-lc-"), "d.sock")
+    return short_socket_path("repro-lc-")
 
 
 @pytest.fixture(scope="module")
@@ -805,6 +805,45 @@ class TestLoopMemo:
             assert response["latency_ms"] > 0
         batches = [r["batch"] for r in [first] + repeats + [pinned]]
         assert len(set(batches)) == len(batches)
+
+    def test_hits_touch_no_worker(self, tmp_path, tuner_pair,
+                                  small_openmp_dataset, monkeypatch):
+        """A hit queues nothing, so the loop neither checks the pool's
+        liveness nor sends or takes a worker message."""
+        _two_version_registry(tmp_path, tuner_pair, small_openmp_dataset)
+        calls = []
+        alive, send = _Worker.alive, ServeDaemon._send_locked
+        read = ServeDaemon._read_worker
+
+        def counted_alive(worker):
+            calls.append("alive")
+            return alive(worker)
+
+        def counted_send(worker, message):
+            calls.append("send")
+            send(worker, message)
+
+        def counted_read(daemon, worker):
+            calls.append("read")
+            read(daemon, worker)
+
+        monkeypatch.setattr(_Worker, "alive", counted_alive)
+        monkeypatch.setattr(ServeDaemon, "_send_locked",
+                            staticmethod(counted_send))
+        monkeypatch.setattr(ServeDaemon, "_read_worker", counted_read)
+        path = _socket_path()
+        with ServeDaemon(path, registry_root=str(tmp_path), workers=2,
+                         max_batch=4, watch_interval_s=0.0):
+            with DaemonClient(path) as client:
+                first = _tune(client)
+                assert isinstance(first["worker"], int)
+                del calls[:]
+                hits = [_tune(client) for _ in range(50)]
+                # the loop takes the ping after its step for the last hit
+                assert client.ping()
+                during = list(calls)
+        assert all(hit["worker"] is None for hit in hits)
+        assert during == []
 
     def test_stats_count_hits_as_completed_requests(
             self, tmp_path, tuner_pair, small_openmp_dataset):

@@ -8,8 +8,6 @@ must converge onto exactly one version whose predictions are byte-identical
 to a fresh, fault-free daemon serving that version.
 """
 
-import os
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 
@@ -24,13 +22,15 @@ from repro.serve import (
 )
 from repro.simulator.microarch import COMET_LAKE_8C
 
+from conftest import short_socket_path
+
 TRAIN_KW = dict(gnn_hidden=12, gnn_out=12, dae_hidden=24, dae_code=8,
                 mlp_hidden=16)
 KERNEL = "polybench/gemm"
 
 
 def _socket_path() -> str:
-    return os.path.join(tempfile.mkdtemp(prefix="repro-chaos-"), "d.sock")
+    return short_socket_path("repro-chaos-")
 
 
 @pytest.fixture(scope="module")

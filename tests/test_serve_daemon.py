@@ -6,7 +6,6 @@ import signal
 import socket
 import subprocess
 import sys
-import tempfile
 import collections
 import threading
 import time
@@ -14,6 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import MGATuner
 from repro.kernels import registry as kernel_registry
@@ -27,7 +28,18 @@ from repro.serve import (
     TuneRequest,
     TuningService,
 )
+from repro.serve import faults
 from repro.serve.daemon import _PendingRequest, _Worker
+from repro.serve.protocol import (
+    ClientConnection,
+    LineChannel,
+    ProtocolError,
+    decode_frame,
+    encode_body,
+    encode_frame,
+    ok_frame,
+    ok_response,
+)
 from repro.simulator.microarch import COMET_LAKE_8C, SKYLAKE_4114
 from repro.tuners.campaign import (
     LookupObjectiveSpec,
@@ -36,13 +48,14 @@ from repro.tuners.campaign import (
 )
 from repro.tuners.space import full_search_space
 
+from conftest import short_socket_path
+
 TRAIN_KW = dict(gnn_hidden=12, gnn_out=12, dae_hidden=24, dae_code=8,
                 mlp_hidden=16)
 
 
 def _socket_path() -> str:
-    # AF_UNIX paths are length-limited (~107 bytes); stay in /tmp
-    return os.path.join(tempfile.mkdtemp(prefix="repro-daemon-"), "d.sock")
+    return short_socket_path("repro-daemon-")
 
 
 @pytest.fixture(scope="module")
@@ -774,7 +787,81 @@ class TestDispatchRule:
 
 
 # ----------------------------------------------------------------------
+#: any JSON value: the ids a client may choose, the values of a result
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(), children, max_size=4)),
+    max_leaves=12)
+#: result objects without the keys a reply adds, some with counters
+_RESULTS = st.dictionaries(
+    st.text().filter(lambda key: key not in ("latency_ms", "worker",
+                                             "batch")),
+    _JSON | st.dictionaries(st.text(), st.floats(), max_size=5),
+    max_size=6)
+
+
 class TestProtocol:
+    @settings(max_examples=300, deadline=None)
+    @given(request_id=_JSON, result=_RESULTS,
+           latency_ms=st.floats(allow_nan=False, allow_infinity=False),
+           worker=st.none() | st.integers(min_value=0),
+           batch=st.integers(min_value=0))
+    @example(request_id=True, result={}, latency_ms=0.25, worker=None,
+             batch=0)
+    @example(request_id=False, result={"counters": {"PAPI_L1_DCM": 1.5}},
+             latency_ms=1e-9, worker=3, batch=7)
+    def test_ok_frame_is_the_encoded_reply(self, request_id, result,
+                                           latency_ms, worker, batch):
+        """A spliced reply is byte for byte the reply encoded whole."""
+        whole = encode_frame(ok_response(request_id, dict(
+            result, latency_ms=latency_ms, worker=worker, batch=batch)))
+        assert ok_frame(request_id, encode_body(result), latency_ms, worker,
+                        batch) == whole
+
+    @settings(max_examples=200, deadline=None)
+    @given(document=st.dictionaries(st.text(), _JSON, max_size=6),
+           before=st.text(" \t\r", max_size=3),
+           after=st.text(" \t\r", max_size=3))
+    def test_decode_frame_reads_what_json_loads_reads(self, document,
+                                                       before, after):
+        text = before + json.dumps(document) + after
+        assert encode_frame(decode_frame(text.encode())) == \
+            encode_frame(json.loads(text))
+
+    @pytest.mark.parametrize("line", [
+        b"", b" ", b"[1]", b'"x"', b'{"a":1} x', b'{"a":1}{"b":2}',
+        b'{"a":1}\x0c', b'\xef\xbb\xbf{"a":1}', b'{"a":', b"\xff"])
+    def test_decode_frame_rejects_what_json_loads_rejects(self, line):
+        with pytest.raises(ProtocolError):
+            decode_frame(line)
+        try:
+            accepted = isinstance(json.loads(line.decode("utf-8")), dict)
+        except ValueError:
+            accepted = False
+        assert not accepted
+
+    def test_fault_plan_applies_to_sent_frames(self):
+        """An installed fault plan sees every frame, spliced ones too."""
+        left, right = socket.socketpair()
+        before = faults.active()
+        faults.install(faults.FaultPlan(dup=1.0, seed=1))
+        try:
+            LineChannel(left).send_frame(encode_frame({"id": 1}))
+            ClientConnection(left).reply_frame(
+                ok_frame(2, encode_body({}), 0.5, None, 0))
+        finally:
+            faults.restore(before)
+        receiver = LineChannel(right)
+        try:
+            frames = [receiver.recv(timeout=5.0) for _ in range(4)]
+        finally:
+            left.close()
+            right.close()
+        spliced = {"id": 2, "ok": True,
+                   "result": {"latency_ms": 0.5, "worker": None, "batch": 0}}
+        assert frames == [{"id": 1}, {"id": 1}, spliced, spliced]
+
     def test_session_wire_round_trip(self):
         session = _sessions(1)[0]
         from repro.serve.protocol import session_from_wire, session_to_wire

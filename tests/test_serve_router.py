@@ -4,7 +4,6 @@ import json
 import os
 import select
 import socket
-import tempfile
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -34,14 +33,15 @@ from repro.serve.protocol import (
 from repro.serve.router import parse_replica_spec, stable_hash
 from repro.simulator.microarch import COMET_LAKE_8C
 
+from conftest import short_socket_path
+
 TRAIN_KW = dict(gnn_hidden=12, gnn_out=12, dae_hidden=24, dae_code=8,
                 mlp_hidden=16)
 LOOPBACK = "tcp://127.0.0.1:0"
 
 
 def _socket_path() -> str:
-    # AF_UNIX paths are length-limited (~107 bytes); stay in /tmp
-    return os.path.join(tempfile.mkdtemp(prefix="repro-router-"), "d.sock")
+    return short_socket_path("repro-router-")
 
 
 def _await(predicate, timeout=30.0, interval=0.05):
