@@ -478,10 +478,23 @@ def _listen_address(socket_arg, tcp_arg, flag="--socket"):
     return socket_arg
 
 
-def _cmd_daemon(args) -> int:
+def _run_until_stop(server) -> None:
+    """Block until SIGINT/SIGTERM or a ``shutdown`` op stops ``server`` (a
+    daemon or a router), then shut it down: a daemon drains first."""
     import signal
     import threading
 
+    stop = threading.Event()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, lambda *_: stop.set())
+    try:
+        while not stop.is_set() and server.running:
+            stop.wait(0.2)
+    finally:
+        server.shutdown()
+
+
+def _cmd_daemon(args) -> int:
     from repro.serve.daemon import ServeDaemon
 
     daemon = ServeDaemon(
@@ -498,24 +511,11 @@ def _cmd_daemon(args) -> int:
                       "workers": args.workers, "max_batch": args.max_batch,
                       "max_queue": args.max_queue, "pid": os.getpid()}),
           flush=True)
-
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        # wake on signals AND on a `shutdown` request (which stops the
-        # daemon after draining)
-        while not stop.is_set() and daemon.running:
-            stop.wait(0.2)
-    finally:
-        daemon.shutdown(drain=True)
+    _run_until_stop(daemon)
     return 0
 
 
 def _cmd_router(args) -> int:
-    import signal
-    import threading
-
     from repro.serve.router import ServeRouter
 
     router = ServeRouter(
@@ -532,15 +532,7 @@ def _cmd_router(args) -> int:
                       "groups": sorted({replica.group for replica
                                         in router.replicas}),
                       "pid": os.getpid()}), flush=True)
-
-    stop = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop.set())
-    try:
-        while not stop.is_set() and router.running:
-            stop.wait(0.2)
-    finally:
-        router.shutdown()
+    _run_until_stop(router)
     return 0
 
 

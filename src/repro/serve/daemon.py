@@ -35,7 +35,10 @@ work is *shed* with a structured ``overloaded`` error.  A worker's death is
 EOF on its pipe: its requests are retried once on another worker (the
 deliberately-crashing debug op is failed, not retried) and a replacement
 is spawned.  ``shutdown`` drains: queued and in-flight work completes,
-workers stop cleanly, then the socket disappears.
+workers stop cleanly, then the socket disappears.  The loop tears itself
+down as it exits, so a stop asked for by :meth:`ServeDaemon.shutdown` and
+one asked for by the ``shutdown`` op (which runs on the loop and starts no
+thread) take the same path.
 
 Determinism: a worker answers ``tune``/``map`` through the same
 ``registry.load`` → ``InferenceEngine`` path as in-process serving, so
@@ -63,7 +66,9 @@ Online operations (:mod:`repro.serve.lifecycle`): with a registry the loop
 reads the registry generation every ``watch_interval_s`` (its selector
 timeout); when it moved, a short-lived helper thread hot-swaps routes with
 zero drain.  ``swap``/``shadow`` ops run on helpers too; their broadcasts
-complete on loop events (worker acks, or a dead worker's EOF).  Batches
+complete on loop events (worker acks, or a dead worker's EOF).  A helper
+never writes to a client: it queues its reply and wakes the loop, which
+sends it, so the loop is the one writer of every client socket.  Batches
 are stamped with one resolved version under the dispatch lock, so a flip
 lands between micro-batches.  ``shadow`` tees answered live traffic to a
 candidate version and diffs the answers; a shadow batch starts only while
@@ -78,6 +83,7 @@ from __future__ import annotations
 import collections
 import itertools
 import json
+import math
 import multiprocessing
 import multiprocessing.connection
 import os
@@ -492,13 +498,13 @@ class ServeDaemon:
         self._helpers: List[threading.Thread] = []
         self._running = False
         self._draining = False
-        #: acks of ``shutdown`` ops that raced the shutdown in progress
-        self._shutdown_acks: List[Callable[[], None]] = []
+        #: once draining, the loop stops here even with work outstanding
+        self._stop_at = math.inf
+        #: ``(client, response)`` the helpers answered, for the loop to send
+        self._replies: "collections.deque[tuple]" = collections.deque()
+        #: ``(client, response)`` acks of ``shutdown`` ops, sent at the stop
+        self._acks: List[tuple] = []
         self._started_at = 0.0
-        #: set whenever the daemon is not running; a shutdown() racing the
-        #: one in progress waits on it
-        self._stopped = threading.Event()
-        self._stopped.set()
 
         # online operations: lifecycle manager over this registry, shadow
         # queueing, worker control-message plumbing, drift aggregation
@@ -568,8 +574,7 @@ class ServeDaemon:
             raise
         self._front = FrontEnd(self._selector, self._listener,
                                self._handle_request)
-        self._running, self._draining = True, False
-        self._stopped.clear()
+        self._running, self._draining, self._stop_at = True, False, math.inf
         self._started_at = time.perf_counter()
         self._loop_thread = threading.Thread(target=self._loop,
                                              name="repro-daemon-loop",
@@ -636,7 +641,7 @@ class ServeDaemon:
 
     def _start_helper(self, name: str, target: Callable[[], None]) -> None:
         """A short-lived thread for work that waits on loop events (only
-        the loop starts one; shutdown() joins them all)."""
+        the loop starts one, and joins them all as it stops)."""
         self._helpers = [t for t in self._helpers if t.is_alive()]
         self._helpers.append(threading.Thread(
             target=target, name=f"repro-daemon-{name}", daemon=True))
@@ -722,36 +727,63 @@ class ServeDaemon:
         except Exception:
             pass              # registry hiccup: keep serving what we have
 
-    def shutdown(self, drain: bool = True, timeout: float = 120.0,
-                 _ack: Optional[Callable[[], None]] = None) -> None:
+    def shutdown(self, drain: bool = True, timeout: float = 120.0) -> None:
         """Stop the daemon; with ``drain`` outstanding work completes first.
 
-        Returns once the loop and every helper have exited and every
-        worker, pipe and socket is closed; a call racing a shutdown in
-        progress waits for it.  ``_ack`` (a ``shutdown`` op's reply) runs
-        just before the daemon counts as stopped.
+        New work is refused at once.  The loop leaves once it has drained,
+        or ``timeout`` seconds from now (at once without ``drain``; the
+        earliest stop asked for wins), and tears the daemon down as it
+        exits (:meth:`_close`).  Returns once the loop and every helper
+        have exited and every worker, pipe and socket is closed; a call
+        racing a stop in progress waits for it.  Called on the loop (the
+        ``shutdown`` op), it only marks the stop.
         """
         with self._lock:
-            owner = self._running and not self._draining
-            if owner:
-                self._draining = True
-            elif _ack is not None and not self._stopped.is_set():
-                self._shutdown_acks.append(_ack)
-                return
-        if not owner:
-            self._stopped.wait()
-            if _ack is not None:
-                _ack()
-            return
-        # the loop exits once drained; past the timeout (or without a
-        # drain) it stops with work outstanding
-        self._front.wake()
-        self._loop_thread.join(timeout if drain else 0.0)
+            self._draining = True
+            self._stop_at = min(self._stop_at, time.monotonic()
+                                + (timeout if drain else 0.0))
+        loop = self._loop_thread
+        if loop is not None:
+            self._front.wake()
+            if loop is not threading.current_thread():
+                loop.join()
+
+    def __enter__(self) -> "ServeDaemon":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+    # ------------------------------------------------------------------
+    # the loop: sockets and worker pipes in, admissions and batches out
+    # ------------------------------------------------------------------
+    def _loop(self) -> None:
+        watch = self._lifecycle is not None and self.watch_interval_s > 0
+        next_watch = time.monotonic() + self.watch_interval_s
+        try:
+            while (now := time.monotonic()) < self._stop_at:
+                watching = watch and not self._draining
+                wake_at = min(self._stop_at,
+                              next_watch if watching else math.inf)
+                for key, _ in self._selector.select(
+                        None if wake_at == math.inf else wake_at - now):
+                    handler, source = key.data
+                    handler(source)
+                    if self._dispatch():
+                        return                # drained
+                while self._replies:
+                    client, response = self._replies.popleft()
+                    client.reply(response)
+                if watching and time.monotonic() >= next_watch:
+                    next_watch = time.monotonic() + self.watch_interval_s
+                    self._watch_tick()
+        finally:
+            self._close()
+
+    def _close(self) -> None:
+        """Tear the daemon down on the loop thread, as it exits."""
         with self._lock:
             self._running = False
-        self._front.wake()
-        self._loop_thread.join()
-        with self._lock:
             for worker in self._pool.values():
                 self._send_locked(worker, ("stop",))
         self._release()
@@ -775,42 +807,14 @@ class ServeDaemon:
                                          ERR_SHUTTING_DOWN,
                                          "daemon stopped before this "
                                          "request completed"))
-        current = threading.current_thread()
         for thread in self._helpers:
-            if thread is not current:
-                thread.join()
-        for ack in [_ack, *self._shutdown_acks]:
-            if ack is not None:
-                ack()
-        self._shutdown_acks = []
+            thread.join()
+        for client, response in [*self._replies, *self._acks]:
+            client.reply(response)
+        self._replies.clear()
+        self._acks.clear()
         # hang up on clients: they observe the stop, not a zombie
         self._front.close()
-        self._stopped.set()
-
-    def __enter__(self) -> "ServeDaemon":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    # ------------------------------------------------------------------
-    # the loop: sockets and worker pipes in, admissions and batches out
-    # ------------------------------------------------------------------
-    def _loop(self) -> None:
-        watch = self._lifecycle is not None and self.watch_interval_s > 0
-        next_watch = time.monotonic() + self.watch_interval_s
-        while self._running:
-            watching = watch and not self._draining
-            timeout = (max(0.0, next_watch - time.monotonic()) if watching
-                       else None)
-            for key, _ in self._selector.select(timeout):
-                handler, source = key.data
-                handler(source)
-                if self._dispatch():
-                    return                # drained: shutdown() takes over
-            if watching and time.monotonic() >= next_watch:
-                next_watch = time.monotonic() + self.watch_interval_s
-                self._watch_tick()
 
     def _dispatch(self) -> bool:
         """Hand batches to idle workers; True once a drain has finished."""
@@ -867,18 +871,20 @@ class ServeDaemon:
             reply(ok_response(request_id, self.stats()))
             return
         if op == "shutdown":
-            # drain on a helper so the loop keeps serving the outstanding
-            # work; the ack goes out once the daemon has stopped
-            drain = bool(document.get("drain", True))
-            self._start_helper("shutdown", lambda: self.shutdown(
-                drain=drain, _ack=lambda: reply(ok_response(
-                    request_id, {"stopped": True}))))
+            # the loop serves the outstanding work, then acks as it stops
+            self._acks.append((client, ok_response(request_id,
+                                                   {"stopped": True})))
+            self.shutdown(drain=bool(document.get("drain", True)))
             return
         if op in ADMIN_OPS:
             # swap/shadow wait on worker acks, which only the loop reads;
-            # the caller gets a deterministic done/failed answer
-            self._start_helper(op, lambda: self._handle_admin(
-                request_id, op, document, reply))
+            # the helper hands its done/failed answer to the loop to send
+            def admin() -> None:
+                self._replies.append((client, self._handle_admin(
+                    request_id, op, document)))
+                self._front.wake()
+
+            self._start_helper(op, admin)
             return
         fields = (_memo_fields(document) if op in ("tune", "map")
                   and self._lifecycle is not None else None)
@@ -918,15 +924,16 @@ class ServeDaemon:
         self._maybe_tee_shadow(request, version, body)
         return True
 
-    def _handle_admin(self, request_id, op: str, document: Dict[str, Any],
-                      reply) -> None:
+    def _handle_admin(self, request_id, op: str,
+                      document: Dict[str, Any]) -> Dict[str, Any]:
+        """The answer to a ``swap``/``shadow`` op (run on a helper)."""
         if self._lifecycle is None:
-            reply(error_response(request_id, ERR_NO_REGISTRY,
-                                 "daemon was started without --root; "
-                                 "online operations need a model registry"))
             with self._lock:
                 self._errors += 1
-            return
+            return error_response(request_id, ERR_NO_REGISTRY,
+                                  "daemon was started without --root; "
+                                  "online operations need a model "
+                                  "registry")
         try:
             if op == "swap":
                 result = self._lifecycle.swap(
@@ -954,12 +961,11 @@ class ServeDaemon:
                     result = self._lifecycle.shadow_status(document["model"])
         except (SwapError, KeyError, TypeError, ValueError,
                 RuntimeError) as exc:
-            reply(error_response(request_id, ERR_BAD_REQUEST,
-                                 f"{type(exc).__name__}: {exc}"))
             with self._lock:
                 self._errors += 1
-            return
-        reply(ok_response(request_id, result))
+            return error_response(request_id, ERR_BAD_REQUEST,
+                                  f"{type(exc).__name__}: {exc}")
+        return ok_response(request_id, result)
 
     @staticmethod
     def _route_of(document: Dict[str, Any], op: str) -> tuple:

@@ -312,11 +312,15 @@ def ok_response(request_id, result: Dict[str, Any]) -> Dict[str, Any]:
 class LineChannel:
     """Buffered newline framing over one connected socket.  :meth:`recv`
     and the selector loops share one parser: :meth:`feed`/:meth:`pop`.
+    Framing costs time linear in the bytes received: the buffer grows in
+    place, and each byte is scanned for a newline once.
     """
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
-        self._buffer = b""
+        self._buffer = bytearray()
+        #: how many leading bytes of ``_buffer`` hold no newline
+        self._scanned = 0
 
     def send(self, document: Dict[str, Any]) -> None:
         self.send_frame(encode_frame(document))
@@ -354,12 +358,15 @@ class LineChannel:
 
     def pop(self) -> Optional[Dict[str, Any]]:
         """The next complete buffered frame, or ``None`` if there is none."""
-        line, newline, rest = self._buffer.partition(b"\n")
-        if not newline:
-            if len(self._buffer) > MAX_LINE_BYTES:
+        end = self._buffer.find(b"\n", self._scanned)
+        if end < 0:
+            self._scanned = len(self._buffer)
+            if self._scanned > MAX_LINE_BYTES:
                 raise ProtocolError("frame exceeds the line size limit")
             return None
-        self._buffer = rest
+        line = self._buffer[:end]
+        del self._buffer[:end + 1]
+        self._scanned = 0
         return decode_frame(line)
 
     def close(self) -> None:
@@ -370,13 +377,9 @@ class LineChannel:
 
 
 class ClientConnection(LineChannel):
-    """One accepted connection of a selector loop.  The loop and a helper
-    thread may both answer it, so each reply goes out whole (a blocking
-    ``sendall``) under ``write_lock``."""
-
-    def __init__(self, sock: socket.socket):
-        super().__init__(sock)
-        self.write_lock = threading.Lock()
+    """One accepted connection of a selector loop.  Only the loop thread
+    writes to it (a daemon helper hands its reply to the loop), so each
+    reply goes out whole (a blocking ``sendall``) with no lock."""
 
     def reply(self, document: Dict[str, Any]) -> None:
         self.reply_frame(encode_frame(document))
@@ -384,8 +387,7 @@ class ClientConnection(LineChannel):
     def reply_frame(self, frame: bytes) -> None:
         """:meth:`reply` with a frame that is already encoded."""
         try:
-            with self.write_lock:
-                self.send_frame(frame)
+            self.send_frame(frame)
         except OSError:
             pass                      # client went away; nothing to tell it
 

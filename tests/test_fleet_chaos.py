@@ -14,9 +14,7 @@ import os
 import signal
 import subprocess
 import sys
-import tempfile
 import time
-import uuid
 
 import pytest
 
@@ -32,6 +30,8 @@ from repro.tuners import (
     run_worker,
 )
 
+from conftest import short_socket_path
+
 # The chaos suite's standard fault plan (ISSUE: "a standard fault plan").
 # CI pins REPRO_FAULT_SEED so a red run reproduces bit-for-bit.
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "1234"))
@@ -43,8 +43,7 @@ _FORK = multiprocessing.get_context("fork")
 
 
 def _socket_path():
-    return os.path.join(tempfile.gettempdir(),
-                        f"repro-chaos-{uuid.uuid4().hex[:10]}.sock")
+    return short_socket_path("repro-chaos-")
 
 
 def _spec(**overrides):

@@ -421,6 +421,83 @@ class TestDaemonFailurePaths:
 
 
 # ----------------------------------------------------------------------
+class TestLoopOwnsItsSockets:
+    """The loop thread is the one writer of every client socket, and it
+    tears the daemon down itself, whoever asked for the stop."""
+
+    def test_only_the_loop_writes_to_clients(self, registry_root, tmp_path,
+                                             monkeypatch):
+        root = str(tmp_path / "registry")
+        tuner = ModelRegistry(registry_root).load("openmp")
+        for _ in range(2):                 # versions 1 and 2 of one model
+            ModelRegistry(root).publish("openmp", tuner)
+        writers = []
+        send_frame = LineChannel.send_frame
+
+        def recording(channel, frame):
+            if isinstance(channel, ClientConnection):
+                writers.append(threading.current_thread().name)
+            send_frame(channel, frame)
+
+        monkeypatch.setattr(LineChannel, "send_frame", recording)
+        path = _socket_path()
+        daemon = ServeDaemon(path, registry_root=root, workers=1,
+                             max_batch=2, preload=["openmp"]).start()
+        try:
+            with DaemonClient(path) as client:
+                tune = {"op": "tune", "model": "openmp",
+                        "kernel": "polybench/atax", "scale": 0.5}
+                assert client.request(tune)["worker"] == 0
+                assert client.request(tune)["worker"] is None    # memo hit
+                assert client.request({"op": "swap", "model": "openmp",
+                                       "version": 1})["swapped"]
+                shadow = {"op": "shadow", "model": "openmp"}
+                client.request(dict(shadow, action="start", version=2))
+                client.request(shadow)
+                client.request(dict(shadow, action="stop"))
+                with pytest.raises(DaemonError):
+                    client.request({"op": "no-such-op"})
+                raw = socket.socket(socket.AF_UNIX)
+                raw.settimeout(30)
+                raw.connect(path)
+                raw.sendall(b"{not json\n")
+                assert b"bad_request" in raw.recv(65536)
+                raw.close()
+                assert client.shutdown() == {"stopped": True}
+        finally:
+            daemon.shutdown()
+        # nine replies: two tunes, swap, three shadows, two bad requests
+        # and the shutdown ack
+        assert writers == ["repro-daemon-loop"] * 9
+
+    @pytest.mark.parametrize("stop", ["no_drain", "timeout", "op"])
+    def test_stop_without_drain_answers_work_in_flight(self, stop):
+        path = _socket_path()
+        daemon = ServeDaemon(path, workers=1, max_batch=1,
+                             debug_ops=True).start()
+        pids = [worker.process.pid for worker in daemon._pool.values()]
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            sleeper = pool.submit(lambda: DaemonClient(path).request(
+                {"op": "_sleep", "seconds": 1.0}))
+            _wait_for(lambda: daemon.stats()["queue"]["inflight_requests"])
+            if stop == "no_drain":
+                daemon.shutdown(drain=False)
+            elif stop == "timeout":
+                daemon.shutdown(timeout=0.2)
+            else:
+                assert DaemonClient(path).shutdown(drain=False) == \
+                    {"stopped": True}
+                daemon.shutdown()
+            with pytest.raises(DaemonError) as err:
+                sleeper.result(timeout=60)
+        assert err.value.code == "shutting_down"
+        assert not os.path.exists(path)
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+
+# ----------------------------------------------------------------------
 class TestSessionServing:
     def test_daemon_sessions_identical_to_local(self):
         sessions = _sessions(6)
@@ -861,6 +938,33 @@ class TestProtocol:
         spliced = {"id": 2, "ok": True,
                    "result": {"latency_ms": 0.5, "worker": None, "batch": 0}}
         assert frames == [{"id": 1}, {"id": 1}, spliced, spliced]
+
+    def test_framing_cpu_is_linear_in_an_unterminated_line(self):
+        """An unterminated line fed in 64 KB chunks, with a pop after each,
+        costs CPU linear in its length: 32 MB over 8 MB stays below 8
+        (linear is about 4, a copy of the buffer per chunk about 16).  Each
+        size runs in a fresh interpreter, so both pay the first touch of
+        their buffer's pages."""
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__),
+                                           os.pardir, "src"))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        script = ("import sys, time\n"
+                  "from repro.serve.protocol import LineChannel\n"
+                  "channel, chunk = LineChannel(None), b'x' * 65536\n"
+                  "start = time.process_time()\n"
+                  "for _ in range(16 * int(sys.argv[1])):\n"
+                  "    channel.feed(chunk)\n"
+                  "    assert channel.pop() is None\n"
+                  "print(time.process_time() - start)\n")
+
+        def cpu_s(megabytes: int) -> float:
+            return min(float(subprocess.run(
+                [sys.executable, "-c", script, str(megabytes)],
+                capture_output=True, text=True, env=env, timeout=120,
+                check=True).stdout) for _ in range(3))
+
+        assert cpu_s(32) / cpu_s(8) < 8
 
     def test_session_wire_round_trip(self):
         session = _sessions(1)[0]
