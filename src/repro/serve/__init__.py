@@ -9,9 +9,8 @@ The serving subsystem takes a trained tuner from "in-memory object" to
 * :mod:`repro.serve.registry` — :class:`ModelRegistry`, a named + versioned
   model store over a directory tree;
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, thread-safe
-  micro-batching of concurrent requests into single
-  :meth:`~repro.core.mga.MGAModel.predict` calls with an LRU cache of static
-  features;
+  synchronous inference: one :meth:`~repro.core.mga.MGAModel.predict` per
+  batch a caller holds, behind LRU caches of static features and answers;
 * :mod:`repro.serve.service` — :class:`TuningService`, the request/response
   façade with per-model routing and latency/throughput counters;
 * :mod:`repro.serve.daemon` — :class:`ServeDaemon`, a socket-served

@@ -1,15 +1,12 @@
-"""Thread-safe batched inference over a fitted tuner or device mapper.
+"""Thread-safe, synchronous inference over a fitted tuner or device mapper.
 
-Two ways in, one ``MGAModel.predict`` per batch either way:
-
-* :meth:`InferenceEngine.predict_batch` answers a batch the caller already
-  holds, synchronously on the caller's thread, in ``max_batch_size``
-  chunks.  Daemon workers use it: the daemon's batch is the engine's batch.
-* ``submit_tune`` / ``submit_map`` queue single requests for in-process
-  callers; a worker thread (started by the first submit) gathers everything
-  queued within a short window (``max_wait_ms``, up to ``max_batch_size``)
-  into one batch, which amortises graph batching and the per-call numpy
-  overhead across concurrent requests.
+Every request is answered on the caller's thread, through
+:meth:`InferenceEngine.predict_batch`: memoised queries at once, the rest by
+one ``MGAModel.predict`` per ``max_batch_size`` chunk.  The engine starts no
+thread and keeps no queue.  Batching across callers is the serve daemon's
+job: its dispatcher hands each worker a batch, and the worker's engine
+answers it whole.  Several threads may call one engine at once; its caches
+and counters lock, and ``predict`` writes no model state.
 
 Static features are memoised in an LRU cache: the ProGraML graph, the IR2Vec
 vector and — for OpenMP tuning — the default-configuration profiling counters
@@ -90,42 +87,23 @@ class _LRUCache:
 
 
 class PendingResult:
-    """Handle for one queued request; ``result()`` blocks until completion."""
+    """An already-answered :meth:`InferenceEngine.submit_tune` request."""
 
-    __slots__ = ("_event", "_value", "_error", "submitted_at", "completed_at")
+    __slots__ = ("_answer", "latency_seconds")
 
-    def __init__(self) -> None:
-        self._event = threading.Event()
-        self._value = None
-        self._error: Optional[BaseException] = None
-        self.submitted_at = time.perf_counter()
-        self.completed_at: Optional[float] = None
-
-    def _finish(self, value=None, error: Optional[BaseException] = None) -> None:
-        self._value = value
-        self._error = error
-        self.completed_at = time.perf_counter()
-        self._event.set()
-
-    def done(self) -> bool:
-        return self._event.is_set()
+    def __init__(self, answer, latency_seconds: float) -> None:
+        self._answer = answer                 # the value, or its exception
+        self.latency_seconds = latency_seconds
 
     def result(self, timeout: Optional[float] = None):
-        if not self._event.wait(timeout):
-            raise TimeoutError("request did not complete in time")
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-    @property
-    def latency_seconds(self) -> float:
-        if self.completed_at is None:
-            raise RuntimeError("request not completed")
-        return self.completed_at - self.submitted_at
+        """The answer; it is ready, so ``timeout`` is never waited out."""
+        if isinstance(self._answer, BaseException):
+            raise self._answer
+        return self._answer
 
 
 class _Request:
-    __slots__ = ("kernel", "graph", "vector", "extra", "finalize", "pending")
+    __slots__ = ("kernel", "graph", "vector", "extra", "finalize")
 
     def __init__(self, kernel, graph, vector, extra, finalize):
         self.kernel = kernel              # (uid, model): the code-cache key
@@ -133,16 +111,14 @@ class _Request:
         self.vector = vector
         self.extra = extra                # the extra-feature row, a tuple
         self.finalize = finalize          # index -> response value
-        self.pending: Optional[PendingResult] = None
 
 
 class InferenceEngine:
-    """Batched, cached serving front-end for one fitted tuner/mapper."""
+    """Cached, synchronous serving front-end for one fitted tuner/mapper."""
 
     def __init__(self, predictor: Union[MGATuner, DeviceMapper],
-                 max_batch_size: int = 32, max_wait_ms: float = 2.0,
-                 cache_size: int = 512, memoize_results: bool = True,
-                 drift_monitor=None):
+                 max_batch_size: int = 32, cache_size: int = 512,
+                 memoize_results: bool = True, drift_monitor=None):
         if not isinstance(predictor, (MGATuner, DeviceMapper)):
             raise TypeError("predictor must be an MGATuner or DeviceMapper")
         if predictor.model is None:
@@ -154,7 +130,6 @@ class InferenceEngine:
         #: published training-distribution sketch
         self.drift_monitor = drift_monitor
         self.max_batch_size = int(max_batch_size)
-        self.max_wait_s = float(max_wait_ms) / 1e3
         self.cache = _LRUCache(cache_size)
         self.results = _LRUCache(cache_size) if memoize_results else None
         #: per-kernel ``MGAModel.static_codes`` rows (read-only), keyed on
@@ -168,10 +143,7 @@ class InferenceEngine:
                          if isinstance(predictor, MGATuner) else None)
         self._code_hits = 0
         self._code_misses = 0
-        self._queue: "collections.deque[_Request]" = collections.deque()
-        self._cond = threading.Condition()
-        self._running = True
-        self._worker: Optional[threading.Thread] = None
+        self._closed = False
         self._stats_lock = threading.Lock()
         self._requests = 0
         self._errors = 0
@@ -182,7 +154,7 @@ class InferenceEngine:
         self._latency_sum = 0.0
 
     # ------------------------------------------------------------------
-    # request preparation (runs on the caller's thread, cache-memoised)
+    # request preparation (cache-memoised)
     # ------------------------------------------------------------------
     def _tune_features(self, spec: KernelSpec, scale: float):
         tuner = self.predictor
@@ -215,8 +187,6 @@ class InferenceEngine:
 
     def _prepare_tune(self, spec: KernelSpec, scale: float):
         """The memoised answer, or a :class:`_Request` ready for predict."""
-        if not isinstance(self.predictor, MGATuner):
-            raise TypeError("this engine serves a DeviceMapper, not a tuner")
         key = ("tune", spec.uid, spec.model.value, float(scale))
         hit = self._memoized_answer(key)
         if hit is not None:
@@ -241,8 +211,6 @@ class InferenceEngine:
     def _prepare_map(self, spec: KernelSpec, transfer_bytes: float,
                      wgsize: int):
         """The memoised answer, or a :class:`_Request` ready for predict."""
-        if not isinstance(self.predictor, DeviceMapper):
-            raise TypeError("this engine serves an MGATuner, not a mapper")
         key = ("map", spec.uid, spec.model.value, float(transfer_bytes),
                int(wgsize))
         hit = self._memoized_answer(key)
@@ -287,8 +255,12 @@ class InferenceEngine:
         queries are answered at once, the rest by one ``MGAModel.predict``
         per ``max_batch_size`` chunk.  A query that cannot be prepared
         (wrong kind, failing feature extraction) gets its exception in its
-        slot, without failing the others; a failing ``predict`` raises.
+        slot, without failing the others; a failing ``predict`` raises, and
+        so does every call once the engine is closed.  Several threads may
+        call it at once.
         """
+        if self._closed:
+            raise RuntimeError("engine is closed")
         started = time.perf_counter()
         prepare = (self._prepare_tune if isinstance(self.predictor, MGATuner)
                    else self._prepare_map)
@@ -324,89 +296,35 @@ class InferenceEngine:
                               len(chunk) * (time.perf_counter() - started))
         return answers
 
-    def submit_tune(self, spec: KernelSpec, scale: float = 1.0) -> PendingResult:
-        """Queue one OpenMP tuning request; returns immediately."""
-        pending = PendingResult()
-        return self._submit(pending, self._prepare_tune(spec, scale))
-
     def tune(self, spec: KernelSpec, scale: float = 1.0
              ) -> Tuple[OMPConfig, Dict[str, float]]:
-        """Blocking :meth:`MGATuner.tune` equivalent (batched under the hood)."""
-        return self.submit_tune(spec, scale).result()
-
-    def submit_map(self, spec: KernelSpec, transfer_bytes: float,
-                   wgsize: int) -> PendingResult:
-        """Queue one CPU/GPU mapping request; returns immediately."""
-        pending = PendingResult()
-        return self._submit(pending,
-                            self._prepare_map(spec, transfer_bytes, wgsize))
+        """Blocking :meth:`MGATuner.tune` equivalent."""
+        return self.tune_many([(spec, scale)])[0]
 
     def map_device(self, spec: KernelSpec, transfer_bytes: float,
                    wgsize: int) -> int:
         """Blocking :meth:`DeviceMapper.map_device` equivalent."""
-        return self.submit_map(spec, transfer_bytes, wgsize).result()
+        if not isinstance(self.predictor, DeviceMapper):
+            raise TypeError("this engine serves an MGATuner, not a mapper")
+        return _raise_first(
+            self.predict_batch([(spec, transfer_bytes, wgsize)]))[0]
 
     def tune_many(self, requests: Sequence[Tuple[KernelSpec, float]]
                   ) -> List[Tuple[OMPConfig, Dict[str, float]]]:
-        """Submit many (spec, scale) requests at once and wait for all."""
-        handles = [self.submit_tune(spec, scale) for spec, scale in requests]
-        return [h.result() for h in handles]
+        """Answer many (spec, scale) requests as one :meth:`predict_batch`."""
+        if not isinstance(self.predictor, MGATuner):
+            raise TypeError("this engine serves a DeviceMapper, not a tuner")
+        return _raise_first(self.predict_batch(list(requests)))
+
+    def submit_tune(self, spec: KernelSpec, scale: float = 1.0) -> PendingResult:
+        """:meth:`tune`, with its answer or error in a :class:`PendingResult`."""
+        if not isinstance(self.predictor, MGATuner):
+            raise TypeError("this engine serves a DeviceMapper, not a tuner")
+        started = time.perf_counter()
+        answer, = self.predict_batch([(spec, scale)])
+        return PendingResult(answer, time.perf_counter() - started)
 
     # ------------------------------------------------------------------
-    def _submit(self, pending: PendingResult, prepared) -> PendingResult:
-        """Finish ``pending`` from the response cache or queue the request."""
-        if not isinstance(prepared, _Request):
-            pending._finish(value=prepared)
-            with self._stats_lock:
-                self._requests += 1
-                self._memoized += 1
-                self._latency_sum += pending.latency_seconds
-            return pending
-        prepared.pending = pending
-        with self._cond:
-            if not self._running:
-                raise RuntimeError("engine is closed")
-            if self._worker is None:
-                self._worker = threading.Thread(target=self._serve_loop,
-                                                name="repro-serve-engine",
-                                                daemon=True)
-                self._worker.start()
-            self._queue.append(prepared)
-            self._cond.notify_all()
-        with self._stats_lock:
-            self._requests += 1
-        return pending
-
-    def _serve_loop(self) -> None:
-        while True:
-            with self._cond:
-                while not self._queue and self._running:
-                    self._cond.wait()
-                if not self._queue and not self._running:
-                    return
-                # gather a micro-batch: wait (briefly) for co-arriving work
-                deadline = time.perf_counter() + self.max_wait_s
-                while len(self._queue) < self.max_batch_size and self._running:
-                    remaining = deadline - time.perf_counter()
-                    if remaining <= 0:
-                        break
-                    self._cond.wait(remaining)
-                batch = [self._queue.popleft()
-                         for _ in range(min(len(self._queue),
-                                            self.max_batch_size))]
-            try:
-                values = self._predict(batch)
-            except Exception as exc:           # pragma: no cover - defensive
-                for request in batch:
-                    request.pending._finish(error=exc)
-                with self._stats_lock:
-                    self._errors += len(batch)
-                continue
-            for request, value in zip(batch, values):
-                request.pending._finish(value=value)
-            self._count_batch(len(batch), sum(r.pending.latency_seconds
-                                              for r in batch))
-
     def _predict(self, batch: List[_Request]) -> List[object]:
         """One ``MGAModel.predict`` over ``batch``: the finalized answers."""
         extra = xp.array([r.extra for r in batch], dtype=xp.float64)
@@ -419,7 +337,9 @@ class InferenceEngine:
         """The batch's static-code rows, encoding only uncached kernels.
 
         A kernel missing from the code cache is encoded once per batch,
-        however often it appears; every other request is a hit.
+        however often it appears; every other request is a hit.  Two
+        threads that miss the same kernel at once both encode it, to the
+        same row.
         """
         rows: Dict[tuple, object] = {}
         encode: List[_Request] = []
@@ -489,22 +409,19 @@ class InferenceEngine:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the worker; outstanding queued requests fail."""
-        with self._cond:
-            if not self._running:
-                return
-            self._running = False
-            leftover = list(self._queue)
-            self._queue.clear()
-            self._cond.notify_all()
-            worker = self._worker
-        if worker is not None:
-            worker.join()
-        for request in leftover:
-            request.pending._finish(error=RuntimeError("engine is closed"))
+        """Refuse every later request."""
+        self._closed = True
 
     def __enter__(self) -> "InferenceEngine":
         return self
 
     def __exit__(self, *exc_info) -> None:
         self.close()
+
+
+def _raise_first(answers: List[object]) -> List[object]:
+    """``answers``, unless a slot holds an exception: then raise the first."""
+    for answer in answers:
+        if isinstance(answer, BaseException):
+            raise answer
+    return answers

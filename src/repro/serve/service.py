@@ -1,4 +1,4 @@
-"""Request/response façade over the registry and the batched engines.
+"""Request/response façade over the registry and the inference engines.
 
 :class:`TuningService` is the deployable entry point: it owns a
 :class:`~repro.serve.registry.ModelRegistry`, lazily loads each requested
@@ -133,11 +133,18 @@ def map_response_fields(model: str, version: int, kernel: str,
 
 
 class TuningService:
-    """Route tuning/mapping requests to registry-published models."""
+    """Route tuning/mapping requests to registry-published models.
+
+    Each request is answered on the calling thread: the service resolves
+    the kernel, then calls the version's :class:`InferenceEngine`, which
+    answers synchronously from its caches or one ``MGAModel.predict``.
+    Several threads may share one service; it starts no thread of its own.
+    With ``daemon`` set, requests go to that serve daemon instead, whose
+    dispatcher batches concurrent requests across clients.
+    """
 
     def __init__(self, registry: Optional[ModelRegistry] = None,
-                 max_batch_size: int = 32,
-                 max_wait_ms: float = 2.0, cache_size: int = 512,
+                 max_batch_size: int = 32, cache_size: int = 512,
                  daemon: Optional[str] = None,
                  memoize_results: bool = True):
         self.registry = registry
@@ -149,7 +156,6 @@ class TuningService:
         self._daemon_local = threading.local()
         self._daemon_clients: list = []      # every client, for close()
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.cache_size = cache_size
         #: passed to every engine; a serve daemon's workers turn it off,
         #: because the daemon loop memoizes their answers
@@ -193,7 +199,7 @@ class TuningService:
                 predictor = self.registry.load(model, key[1])
                 engine = InferenceEngine(
                     predictor, max_batch_size=self.max_batch_size,
-                    max_wait_ms=self.max_wait_ms, cache_size=self.cache_size,
+                    cache_size=self.cache_size,
                     memoize_results=self.memoize_results,
                     drift_monitor=self._drift_monitor(model, key[1]))
                 with self._lock:

@@ -103,8 +103,11 @@ class TestChaos:
                                  lease_timeout=0.5,
                                  local_fallback_s=1.0,
                                  max_lease_configs=4) as coordinator:
+            # a request timeout well under local_fallback_s: a worker that
+            # waits out one dropped reply must not leave the fallback time
+            # to finish the campaign before any worker reaches its 5th eval
             procs = _spawn_workers(coordinator.address, 3, STANDARD_PLAN,
-                                   max_configs=2, request_timeout=1.0,
+                                   max_configs=2, request_timeout=0.25,
                                    retries=6, backoff_base=0.02)
             result = coordinator.run()
             exitcodes = _reap(procs)

@@ -86,7 +86,7 @@ def _engine_reference(registry, version, requests):
     """config labels the version's engine produces for (kernel, scale)s."""
     tuner = registry.load("m", version)
     reference = {}
-    with InferenceEngine(tuner, max_batch_size=4, max_wait_ms=1.0) as engine:
+    with InferenceEngine(tuner, max_batch_size=4) as engine:
         for uid, scale in requests:
             config, counters = engine.tune(kernel_registry.get_kernel(uid),
                                            scale)

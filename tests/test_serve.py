@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -161,6 +162,11 @@ class TestDeviceMapperFixes:
             DeviceMapper().map_device(spec, 1e6, 64)
 
 
+def _engine_threads():
+    """Live threads named ``repro-serve-engine``: an engine starts none."""
+    return [t for t in threading.enumerate() if t.name == "repro-serve-engine"]
+
+
 # ----------------------------------------------------------------------
 class TestInferenceEngine:
     def test_batched_results_match_naive_tune(self, trained_tuner):
@@ -170,7 +176,7 @@ class TestInferenceEngine:
                              "rodinia/kmeans")]
         requests = [(spec, scale) for spec in specs for scale in (0.5, 1.5)]
         naive = [tuner.tune(spec, scale=scale) for spec, scale in requests]
-        with InferenceEngine(tuner, max_wait_ms=1.0) as engine:
+        with InferenceEngine(tuner) as engine:
             batched = engine.tune_many(requests)
             repeat = engine.tune(specs[0], scale=0.5)   # memoized path
             stats = engine.stats()
@@ -196,7 +202,7 @@ class TestInferenceEngine:
             memoized, broken = engine.predict_batch(
                 [queries[0], (specs[0], float("nan"))])
             stats = engine.stats()
-            assert engine._worker is None        # no engine thread started
+            assert not _engine_threads()         # no engine thread started
         assert answers == naive
         assert memoized == naive[0]
         assert isinstance(broken, ValueError)    # fails alone, in its slot
@@ -207,12 +213,59 @@ class TestInferenceEngine:
         assert stats["errors"] == 0
         assert stats["batch_cache_hit_rate"] == 0.0
 
+    def test_concurrent_callers_share_no_engine_thread(self, trained_tuner):
+        tuner, _ = trained_tuner
+        queries = [(spec, scale) for spec in UNSEEN for scale in (0.5, 1.5)]
+        naive = [tuner.tune(spec, scale=scale) for spec, scale in queries]
+        assert not _engine_threads()
+        threads, answers, failures = 8, {}, []
+        start = threading.Barrier(threads)
+
+        def call(i: int) -> None:
+            # each thread walks the queries from its own offset: the first
+            # half one tune at a time, the rest as one predict_batch
+            order = [(j + 3 * i) % len(queries) for j in range(len(queries))]
+            half = len(order) // 2
+            try:
+                start.wait()
+                got = [engine.tune(*queries[j]) for j in order[:half]]
+                got += engine.predict_batch([queries[j]
+                                             for j in order[half:]])
+                answers[i] = dict(zip(order, got))
+            except Exception as exc:             # reported below
+                failures.append(exc)
+
+        switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)              # interleave the callers
+        try:
+            with InferenceEngine(tuner, max_batch_size=8,
+                                 memoize_results=False) as engine:
+                pool = [threading.Thread(target=call, args=(i,))
+                        for i in range(threads)]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=120)
+                assert not any(thread.is_alive() for thread in pool)
+                assert not _engine_threads()
+                stats = engine.stats()
+        finally:
+            sys.setswitchinterval(switch_interval)
+        assert not failures, failures
+        assert len(answers) == threads
+        for got in answers.values():
+            assert [got[j] for j in range(len(queries))] == naive
+        assert stats["requests"] == threads * len(queries)
+        assert stats["completed"] == stats["requests"]
+        assert stats["errors"] == 0
+        # concurrent misses of one kernel may both encode it: no exact count
+        assert stats["code_cache_entries"] == len(UNSEEN)
+
     def test_map_requests_match_mapper(self, trained_mapper):
         mapper, _ = trained_mapper
         specs = kernel_registry.opencl_kernels()[12:16]
-        with InferenceEngine(mapper, max_wait_ms=1.0) as engine:
-            handles = [engine.submit_map(spec, 2e6, 128) for spec in specs]
-            labels = [h.result(timeout=30) for h in handles]
+        with InferenceEngine(mapper) as engine:
+            labels = [engine.map_device(spec, 2e6, 128) for spec in specs]
         assert labels == [mapper.map_device(spec, 2e6, 128) for spec in specs]
         assert all(label in (0, 1) for label in labels)
 
@@ -222,7 +275,7 @@ class TestInferenceEngine:
         spec = kernel_registry.get_kernel("polybench/atax")
         with InferenceEngine(tuner) as engine:
             with pytest.raises(TypeError):
-                engine.submit_map(spec, 1e6, 64)
+                engine.map_device(spec, 1e6, 64)
         with pytest.raises(RuntimeError, match="closed"):
             engine.submit_tune(spec)
         with pytest.raises(ValueError, match="not fitted"):
@@ -261,7 +314,7 @@ class TestStaticCodeCache:
         queries = [(spec, transfer, wgsize) for spec in specs
                    for transfer, wgsize in ((2e6, 64), (8e6, 128),
                                             (3e7, 256))]
-        with InferenceEngine(mapper, max_wait_ms=1.0) as engine:
+        with InferenceEngine(mapper) as engine:
             labels = [engine.map_device(*query) for query in queries]
             stats = engine.stats()
         assert labels == [mapper.map_device(*query) for query in queries]
@@ -315,7 +368,7 @@ class TestTuningService:
         registry.publish("openmp", tuner)
         registry.publish("devmap", mapper)
 
-        with TuningService(registry, max_wait_ms=1.0) as service:
+        with TuningService(registry) as service:
             response = service.tune(TuneRequest(
                 model="openmp", kernel="polybench/atax", target_bytes=32e6))
             assert response.model == "openmp" and response.version == 1

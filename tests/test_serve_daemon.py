@@ -110,8 +110,7 @@ class TestDaemonServing:
                     for scale in (0.5, 1.0, 2.0)]
 
         tuner = ModelRegistry(registry_root).load("openmp")
-        with InferenceEngine(tuner, max_batch_size=4,
-                             max_wait_ms=1.0) as engine:
+        with InferenceEngine(tuner, max_batch_size=4) as engine:
             reference = [engine.tune(spec, scale)
                          for spec, scale in requests]
 

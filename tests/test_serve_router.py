@@ -310,8 +310,7 @@ class TestRouterServing:
                     for spec in specs for scale in (0.5, 2.0)]
 
         tuner = ModelRegistry(registry_root).load(_model_names()[0])
-        with InferenceEngine(tuner, max_batch_size=4,
-                             max_wait_ms=1.0) as engine:
+        with InferenceEngine(tuner, max_batch_size=4) as engine:
             reference = [engine.tune(spec, scale)
                          for _, spec, scale in requests]
 
